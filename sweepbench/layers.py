@@ -129,9 +129,12 @@ def layer_metrics(
 ) -> dict[str, tuple[float, str]]:
     """Per-layer metrics of one traced sweep, as name -> (value, unit).
 
-    `sweep_s` and `cpu_s` come from an untraced run of the same configs at
-    `workers` pool workers; the harness metrics compare the traced serial
-    work against them.
+    `sweep_s` and `cpu_s` are medians of untraced runs of the same configs
+    at `workers` pool workers; the harness metrics compare the traced serial
+    work against them. `harness.overhead_s` is the difference of two
+    measured times taken minutes apart, so it is small against either and
+    can come out at or below 0 when the host's speed moves between them:
+    read it in seconds, not as a share of a previous value.
     """
     by: dict[str, list[Span]] = defaultdict(list)
     for s in spans:

@@ -5,10 +5,12 @@
 
 Run from the root of a source checkout; aggsim is imported from its `src/`.
 With --trace 0 it repeats the workload's sweeps, each repetition in a fresh
-interpreter at two pool workers, for about S seconds and reports medians of
-the end-to-end metrics. With --trace 1 it runs one such repetition, then
-replays the same configs in this process at one worker with every layer's
-entry points wrapped (see layers.py) and reports per-layer metrics. Every
+interpreter at two pool workers, for about S seconds, times a fixed
+reference kernel after each sweep (see reference.py) and reports medians of
+the end-to-end metrics, the declared times in units of the kernel's time.
+With --trace 1 it runs at least two such repetitions, then replays the same
+configs in this process at one worker with every layer's entry points
+wrapped (see layers.py) and reports per-layer metrics. Every
 sweep's CSVs are checked: no error rows, every ratio at least 1, the same
 bytes on every repetition and in the traced replay, and the digests recorded
 in digests.json for the seeds listed there. The last line of output is one
@@ -36,6 +38,8 @@ import sys
 import time
 from pathlib import Path
 
+import reference
+
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
@@ -44,7 +48,7 @@ DIGESTS = BENCH / "digests.json"
 DIGEST_SEEDS = (0, 1)
 
 WORKERS = 2
-SETUP_PROBES = 5
+SETUP_PROBES = 10
 RUN_LIMIT_S = 170.0
 SMOKE_EVENTS = 50
 RATIO_FLOOR = 1.0 - 1e-9
@@ -59,9 +63,9 @@ def _config(scenario, mode, n, k, runs, n_events):
 WORKLOADS = {
     "indep": {"none": _config("SPU", "none", [25, 100], [1, 3], 1, 2000)},
     "overhear": {
-        "full": _config("SPU", "full", [100], [1, 2], 1, 2000),
-        "n1": _config("SPU", "n1", [100], [1, 2], 1, 2000),
-        "n2": _config("SPU", "n2", [100], [1], 1, 2000),
+        "full": _config("SPU", "full", [100], [1, 2], 2, 2000),
+        "n1": _config("SPU", "n1", [100], [1, 2], 2, 2000),
+        "n2": _config("SPU", "n2", [100], [1], 2, 2000),
     },
     "long-log": {"full": _config("SPL", "full", [10], [2], 1, 8000)},
 }
@@ -180,37 +184,80 @@ def _expected(workload: str, seed: int, smoke: bool) -> dict | None:
 
 
 def _untraced(env, configs, names, work: Path, seconds: float, deadline: float,
-              checker: Checker):
-    """Repeat the sweeps for about `seconds`; returns medians and env info."""
-    probes = [
-        _run_child(env, configs, work / "setup", deadline, setup_only=True)
-        for _ in range(SETUP_PROBES)
+              checker: Checker, probes: int = SETUP_PROBES, min_reps: int = 1):
+    """Repeat the sweeps for about `seconds`, at least `min_reps` times.
+
+    Runs `probes` set-up-only children first. A repetition runs each config
+    in its own child, and the reference kernel is timed after every child.
+    Returns one dict per repetition, the set-up samples, the kernel's
+    (wall_s, cpu_s) samples and the first repetition's digests.
+    """
+    setups = [
+        _run_child(env, configs, work / "setup", deadline, setup_only=True)["setup_s"]
+        for _ in range(probes)
     ]
-    setups = [p["setup_s"] for p in probes]
     reps: list[dict] = []
+    refs: list[tuple[float, float]] = []
     first = None
-    start = time.monotonic()
-    while True:
-        out_dir = work / f"rep{len(reps)}"
-        rep = _run_child(env, configs, out_dir, deadline)
-        digests, events = checker.check(out_dir, names, against=first)
-        first = first or digests
-        rep["events_per_s"] = events / rep["sweep_s"]
-        reps.append(rep)
-        setups.append(rep["setup_s"])
-        typical = statistics.median(r["sweep_s"] + r["setup_s"] for r in reps)
-        if time.monotonic() - start + typical > seconds:
-            break
-    metrics = {
-        name: (statistics.median(r[name] for r in reps), unit)
-        for name, unit in (("sweep_s", "s"), ("cpu_s", "s"),
-                           ("events_per_s", "1/s"), ("peak_rss_mb", "MB"))
+    with reference.pool(WORKERS) as ref_pool:
+        reference.timed(ref_pool, WORKERS)  # fresh workers run it slower
+        start = time.monotonic()
+        while True:
+            out_dir = work / f"rep{len(reps)}"
+            rep = dict.fromkeys(("sweep_s", "cpu_s", "peak_rss_mb"), 0.0)
+            for config in configs:
+                part = _run_child(env, [config], out_dir, deadline)
+                refs.append(reference.timed(ref_pool, WORKERS))
+                rep["sweep_s"] += part["sweep_s"]
+                rep["cpu_s"] += part["cpu_s"]
+                rep["peak_rss_mb"] = max(rep["peak_rss_mb"], part["peak_rss_mb"])
+                rep.update((k, part[k]) for k in ("python", "numpy", "cores"))
+                setups.append(part["setup_s"])
+            digests, rep["events"] = checker.check(out_dir, names, against=first)
+            first = first or digests
+            reps.append(rep)
+            typical = (time.monotonic() - start) / len(reps)
+            if (len(reps) >= min_reps
+                    and time.monotonic() - start + typical > seconds):
+                break
+    return reps, setups, refs, first
+
+
+def _end_to_end(reps: list[dict], setups: list[float], refs: list[tuple]):
+    """Declared metrics and the raw times beside them, as name -> (value, unit).
+
+    The raw metrics are medians over the repetitions. The declared times
+    are in reference units (see reference.py): the median sweep wall time
+    over the median kernel wall time, and the median sweep CPU time over
+    the median kernel CPU time, all within this run.
+    """
+    def median(fn):
+        return statistics.median(fn(r) for r in reps)
+
+    ref_wall = statistics.median(w for w, _ in refs)
+    ref_cpu = statistics.median(c for _, c in refs)
+    raw = {
+        "sweep_s": (median(lambda r: r["sweep_s"]), "s"),
+        "cpu_s": (median(lambda r: r["cpu_s"]), "s"),
+        "events_per_s": (median(lambda r: r["events"] / r["sweep_s"]), "1/s"),
+        "ref_wall_s": (ref_wall, "s"),
+        "ref_cpu_s": (ref_cpu, "s"),
     }
-    metrics["setup_s"] = (statistics.median(setups), "s")
-    info = {key: probes[0][key] for key in ("python", "numpy", "cores")}
+    declared = {
+        "sweep_ref": (raw["sweep_s"][0] / ref_wall, "ref"),
+        "cpu_ref": (raw["cpu_s"][0] / ref_cpu, "ref"),
+        "events_per_ref": (raw["events_per_s"][0] * ref_wall, "1/ref"),
+        "peak_rss_mb": (median(lambda r: r["peak_rss_mb"]), "MB"),
+        "setup_s": (statistics.median(setups), "s"),
+    }
+    return declared, raw
+
+
+def _env_info(reps: list[dict], setups: list[float]) -> dict:
+    info = {key: reps[0][key] for key in ("python", "numpy", "cores")}
     info.update(sweep_s_samples=[r["sweep_s"] for r in reps],
                 setup_samples=len(setups))
-    return metrics, info, first
+    return info
 
 
 def _import_aggsim():
@@ -225,14 +272,22 @@ def _import_aggsim():
 
 def _traced(workload, env, configs, names, work: Path, seconds: float,
             deadline: float, checker: Checker):
-    """One untraced repetition, then traced in-process replays at 1 worker."""
+    """Untraced repetitions, then traced in-process replays at 1 worker.
+
+    The untraced part takes about a third of `seconds` and at least two
+    repetitions; its median `sweep_s` and `cpu_s` are what the harness
+    metrics compare the traced work against.
+    """
     import layers
 
     start = time.monotonic()
-    base, info, untraced_digests = _untraced(
-        env, configs, names, work, 0.0, deadline, checker
+    reps, setups, _, untraced_digests = _untraced(
+        env, configs, names, work, seconds / 3, deadline, checker,
+        probes=0, min_reps=2,
     )
-    sweep_s, cpu_s = base["sweep_s"][0], base["cpu_s"][0]
+    info = _env_info(reps, setups)
+    sweep_s = statistics.median(r["sweep_s"] for r in reps)
+    cpu_s = statistics.median(r["cpu_s"] for r in reps)
     harness, cli = _import_aggsim()
     replays: list[dict] = []
     replay_start = time.monotonic()
@@ -329,18 +384,24 @@ def main(argv=None) -> int:
         if args.trace:
             metrics, info = _traced(args.workload, env, configs, names, work,
                                     args.seconds, deadline, checker)
+            extra = {}
         else:
-            metrics, info, _ = _untraced(env, configs, names, work,
-                                         args.seconds, deadline, checker)
+            reps, setups, refs, _ = _untraced(env, configs, names, work,
+                                              args.seconds, deadline, checker)
+            metrics, extra = _end_to_end(reps, setups, refs)
+            info = _env_info(reps, setups)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # A per-layer metric when traced; printed, not declared, when untraced,
+    # because an end-to-end metric must never be 0.
+    failed_frac = (checker.failed / checker.attempted, "ratio")
+    (metrics if args.trace else extra)["failed_frac"] = failed_frac
     info.update(workload=args.workload, seed=args.seed, trace=args.trace,
-                workers=WORKERS,
-                failed_frac=checker.failed / max(1, checker.attempted))
+                workers=WORKERS)
     print("env " + json.dumps(info))
-    for name, (value, unit) in metrics.items():
+    for name, (value, unit) in {**metrics, **extra}.items():
         print(f"{name:30s} {value:>14.6g} {unit}")
     print(json.dumps({
         "correct": checker.failed == 0,
