@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import multiprocessing
+import subprocess
+import sys
 import time
-
-import numpy as np
 
 PY_STEPS = 120_000
 DP_ROWS = 1_900
@@ -32,6 +31,8 @@ DP_COLS = 10
 
 def kernel() -> float:
     """The fixed work; returns a checksum so nothing is optimised away."""
+    import numpy as np
+
     heap: list[tuple[int, int]] = []
     seen: dict[int, int] = {}
     acc = 0
@@ -51,7 +52,7 @@ def kernel() -> float:
     return acc + len(seen) + float(best[-1])
 
 
-def _one(_: int) -> tuple[float, float]:
+def _one() -> tuple[float, float]:
     t0, c0 = time.perf_counter(), time.process_time()
     kernel()
     return time.perf_counter() - t0, time.process_time() - c0
@@ -59,16 +60,52 @@ def _one(_: int) -> tuple[float, float]:
 
 @contextlib.contextmanager
 def pool(procs: int):
-    """`procs` spawned worker processes for `timed`, joined on exit."""
-    workers = multiprocessing.get_context("spawn").Pool(procs)
+    """`procs` worker interpreters for `timed`; each is waited for on exit.
+
+    A worker runs this file with `--worker`: it times one kernel run per
+    line it reads and exits at the end of its input.
+    """
+    workers: list[subprocess.Popen] = []
     try:
+        for _ in range(procs):
+            workers.append(subprocess.Popen(
+                [sys.executable, __file__, "--worker"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            ))
         yield workers
     finally:
-        workers.close()
-        workers.join()
+        for worker in workers:
+            with contextlib.suppress(OSError):
+                worker.stdin.close()
+        for worker in workers:
+            try:
+                worker.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                worker.kill()
+                worker.wait()
+            worker.stdout.close()
 
 
-def timed(workers, procs: int) -> tuple[float, float]:
-    """Mean (wall_s, cpu_s) of one kernel run in each of `procs` workers."""
-    runs = workers.map(_one, range(procs), chunksize=1)
-    return (sum(w for w, _ in runs) / procs, sum(c for _, c in runs) / procs)
+def timed(workers: list[subprocess.Popen]) -> tuple[float, float]:
+    """Mean (wall_s, cpu_s) of one kernel run in each worker, run at once."""
+    for worker in workers:
+        worker.stdin.write("run\n")
+        worker.stdin.flush()
+    runs = []
+    for worker in workers:
+        line = worker.stdout.readline()
+        if not line:
+            raise RuntimeError(f"reference worker exited {worker.wait()}")
+        wall, cpu = map(float, line.split())
+        runs.append((wall, cpu))
+    n = len(runs)
+    return (sum(w for w, _ in runs) / n, sum(c for _, c in runs) / n)
+
+
+def _serve() -> None:
+    for _ in sys.stdin:
+        print(*_one(), flush=True)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--worker"]:
+    _serve()

@@ -121,9 +121,11 @@ def _run_child(env, configs, out_dir: Path, deadline: float, setup_only=False):
     try:
         out, err = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
         raise BenchError(f"sweep did not finish within {RUN_LIMIT_S:.0f} s") from None
+    finally:
+        if proc.returncode is None:  # timed out or interrupted
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
     if proc.returncode != 0:
         raise BenchError(f"child exited {proc.returncode}: {err.strip()}")
     return json.loads(out.strip().splitlines()[-1])
@@ -200,14 +202,14 @@ def _untraced(env, configs, names, work: Path, seconds: float, deadline: float,
     refs: list[tuple[float, float]] = []
     first = None
     with reference.pool(WORKERS) as ref_pool:
-        reference.timed(ref_pool, WORKERS)  # fresh workers run it slower
+        reference.timed(ref_pool)  # fresh workers run it slower
         start = time.monotonic()
         while True:
             out_dir = work / f"rep{len(reps)}"
             rep = dict.fromkeys(("sweep_s", "cpu_s", "peak_rss_mb"), 0.0)
             for config in configs:
                 part = _run_child(env, [config], out_dir, deadline)
-                refs.append(reference.timed(ref_pool, WORKERS))
+                refs.append(reference.timed(ref_pool))
                 rep["sweep_s"] += part["sweep_s"]
                 rep["cpu_s"] += part["cpu_s"]
                 rep["peak_rss_mb"] = max(rep["peak_rss_mb"], part["peak_rss_mb"])
@@ -369,6 +371,8 @@ def main(argv=None) -> int:
     if args.workload is None and not args.record_digests:
         ap.error("--workload is required")
     env = _pin_environment()
+    # SIGTERM unwinds like an exception, so every child is killed and waited for.
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         if args.record_digests:
             _record_digests(env)
