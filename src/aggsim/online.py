@@ -246,13 +246,19 @@ def crossing_time(
 class _Engine:
     """Continuous-time trigger engine shared by the three algorithms.
 
-    State per system: the pending rows with running weight sums, a floor
-    below which the next report cannot happen (latest arrival or removal
-    instant), and a version counter that invalidates stale heap entries.
-    The heap is keyed by (crossing time, priority rank, system) so
-    simultaneous crossings fire one at a time in priority order; every fire
-    updates shared counts before the next candidate is examined, which
-    realizes same-instant cascades.
+    State per system: the pending rows, an insertion-ordered dict from row
+    to weight, with running weight sums; a floor below which the next report
+    cannot happen (latest arrival or removal instant); and a version counter
+    that invalidates stale heap entries. The heap is keyed by (crossing
+    time, priority rank, system) so simultaneous crossings fire one at a
+    time in priority order; every fire updates shared counts before the
+    next candidate is examined, which realizes same-instant cascades.
+
+    Graph-limited mode adds a `known` table per node, mapping event rows to
+    the systems known to have reported them. A forward node keeps its whole
+    table, the first-seen rank of each row in it (`seen`) and its `dirty`
+    rows: those whose origin set grew since the node last forwarded them.
+    A withhold node keeps origin sets only for the rows it has pending.
     """
 
     def __init__(
@@ -274,8 +280,7 @@ class _Engine:
         self.n = n
         self.linear = isinstance(lat_fn, LinearLatency)
 
-        self.pend: list[list[int]] = [[] for _ in range(n)]
-        self.pend_set: list[set[int]] = [set() for _ in range(n)]
+        self.pend: list[dict[int, float]] = [dict() for _ in range(n)]
         self.acc_w = [0.0] * n
         self.acc_wt = [0.0] * n
         self.floor = [0.0] * n
@@ -304,8 +309,9 @@ class _Engine:
                 )
             self.rank = list(range(n))
             self.known: list[dict[int, set[int]]] = [dict() for _ in range(n)]
-            self.fwd_sent: list[dict[int, int]] = [dict() for _ in range(n)]
-            self.neighbors = [g.neighbors(i) for i in range(n)]
+            self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
+            self.dirty: list[set[int]] = [set() for _ in range(n)]
+            self.neighbors = [sorted(g.neighbors(i)) for i in range(n)]
             self.is_forward = [g.roles[i] is Role.FORWARD for i in range(n)]
         else:
             self.rank = list(range(n))
@@ -328,16 +334,13 @@ class _Engine:
             if t_star < self.floor[i]:
                 t_star = self.floor[i]
         else:
-            pairs = [
-                (float(self.trace.weights[r][i]), float(self.trace.times[r]))
-                for r in self.pend[i]
-            ]
+            times = self.trace.times
+            pairs = [(w, float(times[r])) for r, w in self.pend[i].items()]
             t_star = crossing_time(pairs, target, self.floor[i], self.lat_fn)
         heapq.heappush(self.heap, (t_star, self.rank[i], i, self.version[i]))
 
     def _add_arrival(self, i: int, row: int, t: float, w: float) -> None:
-        self.pend[i].append(row)
-        self.pend_set[i].add(row)
+        self.pend[i][row] = w
         self.acc_w[i] += w
         self.acc_wt[i] += w * t
         self.floor[i] = t
@@ -348,9 +351,7 @@ class _Engine:
 
     def _remove(self, i: int, row: int, t: float) -> None:
         """Drop a delivered event from i's pending set at instant t."""
-        self.pend[i].remove(row)
-        self.pend_set[i].discard(row)
-        w = float(self.trace.weights[row][i])
+        w = self.pend[i].pop(row)
         self.acc_w[i] -= w
         self.acc_wt[i] -= w * float(self.trace.times[row])
         if not self.pend[i]:
@@ -367,7 +368,6 @@ class _Engine:
         rows = list(self.pend[i])
         ids = tuple(self.trace.event_ids[r] for r in rows)
         self.pend[i].clear()
-        self.pend_set[i].clear()
         self.acc_w[i] = 0.0
         self.acc_wt[i] = 0.0
         self.floor[i] = t
@@ -393,33 +393,73 @@ class _Engine:
         """Share i's report with its neighbors; returns the forwarded ids.
 
         The payload maps each event row to the reporting systems i can
-        vouch for: itself for rows it originates now, plus its whole
-        knowledge table when it has the forward role. Receivers merge the
-        payload and drop pending events whose known origin count reaches K.
-        Each (event, knowledge-size) pair is forwarded at most once.
+        vouch for: itself for rows it originates now and, when i has the
+        forward role, its known origins of those rows plus every dirty row.
+        Receivers merge the payload and drop pending events whose known
+        origin count reaches K.
+
+        A row is dirty at a forward node when its origin set there grew
+        since the node last forwarded it; first hearing of a row and
+        originating it both count as growth. Forwarding clears a row, so
+        each (event, origin-set size) pair is forwarded at most once and a
+        fire scans only dirty rows. They are visited in first-seen order
+        (the order of the whole table) because receivers call `_remove` in
+        payload order, which fixes the order of the float subtractions from
+        the running sums.
+
+        A withhold node reads its table only to test the origin count of a
+        pending row, and every observer of an event receives it before any
+        report can name it. So a withhold node merges only rows it has
+        pending and drops a row's set when the row leaves its pending set.
         """
         known_i = self.known[i]
-        payload: dict[int, set[int]] = {row: {i} for row in rows}
         fwd_ids: list[int] = []
         if self.is_forward[i]:
-            for row, origins in known_i.items():
-                if row in payload:
-                    payload[row] = payload[row] | origins
-                    continue
-                if len(origins) > self.fwd_sent[i].get(row, 0):
-                    payload[row] = set(origins)
+            seen_i, dirty_i = self.seen[i], self.dirty[i]
+            payload = {row: {i}.union(known_i.get(row, ())) for row in rows}
+            for row in sorted(dirty_i, key=seen_i.__getitem__):
+                if row not in payload:
+                    # shared, not copied: i is not its own neighbor, so
+                    # nothing changes this set while receivers read it
+                    payload[row] = known_i[row]
                     fwd_ids.append(row)
-                    self.fwd_sent[i][row] = len(origins)
-        for row in rows:
-            known_i.setdefault(row, set()).add(i)
-        receivers = sorted(set(self.neighbors[i]))
-        for r in receivers:
+            dirty_i.clear()
+            for row in rows:
+                if row not in known_i:
+                    seen_i[row] = len(seen_i)
+                    known_i[row] = set()
+                known_i[row].add(i)
+                dirty_i.add(row)
+        else:
+            payload = {row: {i} for row in rows}
+            for row in rows:
+                known_i.pop(row, None)
+        k = self.k
+        for r in self.neighbors[i]:
             known_r = self.known[r]
-            for row, origins in payload.items():
-                merged = known_r.setdefault(row, set())
-                merged |= origins
-                if len(merged) >= self.k and row in self.pend_set[r]:
-                    self._remove(r, row, t)
+            pend_r = self.pend[r]
+            if self.is_forward[r]:
+                seen_r, dirty_r = self.seen[r], self.dirty[r]
+                for row, origins in payload.items():
+                    merged = known_r.get(row)
+                    if merged is None:
+                        seen_r[row] = len(seen_r)
+                        merged = known_r[row] = set()
+                    size = len(merged)
+                    merged |= origins
+                    if len(merged) > size:
+                        dirty_r.add(row)
+                    if len(merged) >= k and row in pend_r:
+                        self._remove(r, row, t)
+            else:
+                for row, origins in payload.items():
+                    if row not in pend_r:
+                        continue
+                    merged = known_r.setdefault(row, set())
+                    merged |= origins
+                    if len(merged) >= k:
+                        del known_r[row]
+                        self._remove(r, row, t)
         return tuple(self.trace.event_ids[r] for r in sorted(fwd_ids))
 
     # -- main loop

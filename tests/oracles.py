@@ -4,6 +4,8 @@ Everything here is deliberately naive: plain Python loops, set arithmetic,
 and exhaustive enumeration. No code is shared with the library's evaluator,
 oracle, or trigger solver beyond the public data types and the scalar cost
 and latency callables, so agreement between the two routes is meaningful.
+The one exception is `full_scan_net`: it reuses the trigger engine's event
+loop and replaces only graph-limited forwarding, the part it checks.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from aggsim.graph import CommGraph
 from aggsim.model import CommCost, EventTrace, LatencyFn, ReportSchedule
+from aggsim.online import PartialIntercomm, ThresholdPolicy, _Engine
 
 
 def naive_gamma(
@@ -258,3 +262,55 @@ def brute_x(n: int, edges, forward_nodes) -> int:
         ):
             best = max(best, len(nodes))
     return len(fwd) + best
+
+
+class _FullScanNetEngine(_Engine):
+    """Graph-limited forwarding with full tables and a full scan per fire.
+
+    Every node keeps the origin set of every event it has heard of. On each
+    fire a forward node scans its whole table in first-seen order and
+    forwards every row whose set is larger than when it last forwarded it.
+    """
+
+    def __init__(self, trace, policy, k, cost_fn, lat_fn, graph):
+        super().__init__(
+            trace, policy, k, cost_fn, lat_fn, PartialIntercomm(graph)
+        )
+        self.known = [dict() for _ in range(self.n)]
+        self.fwd_sent = [dict() for _ in range(self.n)]
+
+    def _propagate_net(self, i, rows, t):
+        known_i = self.known[i]
+        payload = {row: {i} for row in rows}
+        fwd_ids = []
+        if self.is_forward[i]:
+            for row, origins in known_i.items():
+                if row in payload:
+                    payload[row] = payload[row] | origins
+                    continue
+                if len(origins) > self.fwd_sent[i].get(row, 0):
+                    payload[row] = set(origins)
+                    fwd_ids.append(row)
+                    self.fwd_sent[i][row] = len(origins)
+        for row in rows:
+            known_i.setdefault(row, set()).add(i)
+        for r in sorted(set(self.neighbors[i])):
+            known_r = self.known[r]
+            for row, origins in payload.items():
+                merged = known_r.setdefault(row, set())
+                merged |= origins
+                if len(merged) >= self.k and row in self.pend[r]:
+                    self._remove(r, row, t)
+        return tuple(self.trace.event_ids[r] for r in sorted(fwd_ids))
+
+
+def full_scan_net(
+    trace: EventTrace,
+    policy: ThresholdPolicy,
+    k: int,
+    cost_fn: CommCost,
+    lat_fn: LatencyFn,
+    graph: CommGraph,
+) -> ReportSchedule:
+    """Reference for `run_net`: forwarding by rescanning full tables."""
+    return _FullScanNetEngine(trace, policy, k, cost_fn, lat_fn, graph).run()

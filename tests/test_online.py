@@ -443,6 +443,104 @@ def test_three_node_path_single_event_coverage():
     assert evaluate(s, tr, 1, 0.5, UnityCost(), LINEAR).feasible
 
 
+def test_forward_node_reforwards_only_grown_rows():
+    # star around forward node 1, K=2. Node 0 reports events 0 and 1 at
+    # t=0.55; node 1 forwards both with its own event 2 at t=1. Node 2 then
+    # reports event 0 at t=2, so only event 0's origin set at node 1 grows.
+    # Node 1's second report (event 3, t=3.3) re-forwards event 0 and the
+    # event 2 it originated, not event 1, and the two origins it carries
+    # drop node 3's pending copy of event 0 before node 3's own crossing.
+    tr = EventTrace(
+        [0.0, 0.1, 0.2, 2.5],
+        [
+            [1.0, 0.0, 1.0, 1.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+        ],
+    )
+    g = CommGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).with_roles(
+        [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD, Role.WITHHOLD]
+    )
+    pol = ThresholdPolicy((1.0, 0.8, 2.0, 10.0))
+    s = run_net(tr, pol, 2, 0.5, UnityCost(), LINEAR, g)
+    assert s.per_system[0] == (Report(0.55, (0, 1)),)
+    assert s.per_system[2] == (Report(2.0, (0,)),)
+    first, second = s.per_system[1]
+    assert (first.time, second.time) == (1.0, pytest.approx(3.3))
+    assert (first.event_ids, first.forwarded_ids) == ((2,), (0, 1))
+    assert (second.event_ids, second.forwarded_ids) == ((3,), (0, 2))
+    assert s.per_system[3] == ()
+    assert s == oracles.full_scan_net(tr, pol, 2, UnityCost(), LINEAR, g)
+
+
+def test_forwarded_rows_are_removed_in_first_seen_order():
+    # forward node 1 hears event 2 (from node 0, t=0.4) before event 1
+    # (from node 3, t=0.6) and forwards both at t=1. Node 2 drops them in
+    # that order, and the order of the subtractions fixes the last bit of
+    # its crossing time for the event 3 it still holds.
+    tr = EventTrace(
+        [0.0, 0.1, 0.2, 0.3],
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.1, 1.0],
+            [1.0, 0.0, 0.2, 0.0],
+            [0.0, 0.0, 0.1, 0.0],
+        ],
+    )
+    g = CommGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).with_roles(
+        [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD, Role.WITHHOLD]
+    )
+    pol = ThresholdPolicy((0.2, 1.0, 4.0, 0.5))
+    s = run_net(tr, pol, 1, 0.5, UnityCost(), LINEAR, g)
+    assert s.per_system[1] == (Report(1.0, (0,), (1, 2)),)
+    acc_w = 0.1 + 0.2 + 0.1
+    acc_wt = 0.1 * 0.1 + 0.2 * 0.2 + 0.1 * 0.3
+    heard = (4.0 + ((acc_wt - 0.2 * 0.2) - 0.1 * 0.1)) / ((acc_w - 0.2) - 0.1)
+    by_row = (4.0 + ((acc_wt - 0.1 * 0.1) - 0.2 * 0.2)) / ((acc_w - 0.1) - 0.2)
+    assert heard != by_row
+    assert s.per_system[2] == (Report(heard, (3,)),)
+    assert s == oracles.full_scan_net(tr, pol, 1, UnityCost(), LINEAR, g)
+
+
+@st.composite
+def net_instances(draw):
+    """Small traces with zero weights and tied crossings, on a random
+    connected graph with random roles."""
+    def exactly(size, values):
+        return st.lists(values, min_size=size, max_size=size)
+
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 40))
+    grid = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 0.1, 0.3, 0.7])
+    gaps = draw(exactly(m, st.sampled_from([0.5, 1.0, 2.0, 0.1, 0.3])))
+    w = draw(exactly(m, exactly(n, grid)))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {e for e in draw(st.lists(pair, max_size=n)) if e[0] < e[1]}
+    roles = draw(exactly(n, st.sampled_from(Role)))
+    thetas = draw(exactly(n, st.sampled_from([0.25, 0.5, 1.0, 2.0])))
+    return (
+        EventTrace(np.cumsum(gaps), w),
+        CommGraph.from_edges(n, edges).with_roles(roles),
+        ThresholdPolicy(tuple(thetas)),
+        draw(st.integers(1, n)),
+        draw(st.sampled_from([UnityCost(), LogCost()])),
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(net_instances())
+def test_net_matches_full_scan_reference(inst):
+    tr, g, pol, k, cost = inst
+    got = run_net(tr, pol, k, 0.5, cost, LINEAR, g)
+    want = oracles.full_scan_net(tr, pol, k, cost, LINEAR, g)
+    assert got == want
+    assert [r.time.hex() for rs in got.per_system for r in rs] == [
+        r.time.hex() for rs in want.per_system for r in rs
+    ]
+
+
 def test_heterogeneous_threshold_shifts_crossings():
     # shift of each crossing is epsilon * com^2 / weight to first order
     tr = EventTrace([0.0], [[2.0, 1.0]])
