@@ -61,8 +61,36 @@ def offline_lb(
     """Best segment-partition cost; exact for K=1, a lower bound for K>1.
 
     Returns the optimal value, a reconstructed schedule when K=1 (None
-    otherwise), and the filled table. Runs in O(m^2) vector steps after
-    O(mN) prefix preprocessing for linear latency.
+    otherwise), and the filled table.
+
+    cost_min[j] is the minimum over starts a < j of
+    cand(a, j) = rho*K*com(a, j) + (1-rho)*lat(a, j) + cost_min[a], where
+    com(a, j) is the cheapest system's report cost for rows [a, j) and
+    lat(a, j) holds those rows until t_{j-1}. With linear latency the loop
+    scans only the starts [lo, j). With b = a+1 < j and
+    c_max = cost_fn.of_total(min_i sum_r w_ri), start a = lo is dropped for
+    good once
+
+        (1-rho) * (sw[b] - sw[a]) * (t_{j-1} - t_a) > rho*K*c_max + tol.
+
+    Proof sketch: cost_min[b] <= cand(a, b) = rho*K*com(a, b) + cost_min[a],
+    com(a, j) >= com(a, b) because com grows with the segment, and
+    com(b, j) <= c_max. Hence cand(a, j) - cand(b, j) is at least the left
+    side minus rho*K*c_max, which grows with j: a loses to a+1 at this and
+    every later close. Every dropped start loses to its successor, so
+    [0, lo) loses to lo and lo only moves forward. On generated traces few
+    starts stay undominated and the loop takes O(m) vector steps; O(m^2)
+    remains the worst case.
+
+    tol = 64*eps*(T*S + (m+1)*rho*K*c_max), with T = t_{m-1} and S = sw[m],
+    covers rounding. Each computed cand is within about
+    11u*(T*S + rho*K*c_max + max|cost_min|) of its exact value (u = eps/2),
+    the test within 8u*T*S, computed com within a few ulps of c_max, and
+    |cost_min| <= (m+1)*rho*K*c_max. The bound uses three cands, about
+    41u*(T*S + (m+1)*rho*K*c_max) in all, so a dropped start also loses in
+    computed values. The window's cand values are the full scan's bit for
+    bit, and so are cost_min, choice, the value and the schedule. A generic
+    lat_fn keeps lo = 0: the proof needs linear latency.
     """
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
@@ -92,11 +120,24 @@ def offline_lb(
     choice = np.zeros(m + 1, dtype=np.int64)
     cost_min[0] = 0.0
 
+    lo = 0  # every start below lo is dominated at every remaining close
+    if linear:
+        c_max = 1.0 if unity else cost_fn.of_total(float(pw[m].min()))
+        tol = 64 * np.finfo(float).eps * (
+            times[-1] * sw[m] + (m + 1) * rho * k * c_max
+        )
+        drop_above = rho * k * c_max + tol
+
     for j in range(1, m + 1):
         t_close = times[j - 1]
-        starts = np.arange(j)  # segment is rows [a, j) for a in starts
         if linear:
-            lat = t_close * (sw[j] - sw[:j]) - (swt[j] - swt[:j])
+            while (
+                lo < j - 1
+                and (1.0 - rho) * (sw[lo + 1] - sw[lo]) * (t_close - times[lo])
+                > drop_above
+            ):
+                lo += 1
+            lat = t_close * (sw[j] - sw[lo:j]) - (swt[j] - swt[lo:j])
         else:
             lat = np.empty(j)
             for a in range(j):
@@ -108,12 +149,12 @@ def offline_lb(
                             acc += lat_fn.value(w, float(times[r]), t_close)
                 lat[a] = acc
         if unity:
-            com = np.ones(j)
+            com = 1.0  # rho * k * 1.0 broadcasts to the same bits as an array
         else:
-            com = cost_fn.of_total_array((pw[j] - pw[:j]).min(axis=1))
-        cand = rho * k * com + (1.0 - rho) * lat + cost_min[:j]
-        a_best = int(np.argmin(cand))
-        cost_min[j] = cand[a_best]
+            com = cost_fn.of_total_array((pw[j] - pw[lo:j]).min(axis=1))
+        cand = rho * k * com + (1.0 - rho) * lat + cost_min[lo:j]
+        a_best = lo + int(np.argmin(cand))
+        cost_min[j] = cand[a_best - lo]
         choice[j] = j - a_best
 
     table = DpTable(cost_min, choice)
@@ -143,11 +184,9 @@ def offline_lb(
         # Among systems tied for the cheapest segment report, prefer one
         # that observed every event in the segment (keeps the schedule
         # deliverable); lowest index breaks remaining ties.
-        tied = [i for i in range(n) if float(costs[i]) <= best_cost]
-        full_cover = [
-            i for i in tied if bool((weights[a:b, i] > 0).all())
-        ]
-        i_star = full_cover[0] if full_cover else tied[0]
+        tied = costs <= best_cost
+        full_cover = np.flatnonzero(tied & (weights[a:b] > 0).all(axis=0))
+        i_star = int(full_cover[0]) if full_cover.size else int(np.argmax(tied))
         originated = []
         forwarded = []
         for r in range(a, b):

@@ -4,8 +4,10 @@ Everything here is deliberately naive: plain Python loops, set arithmetic,
 and exhaustive enumeration. No code is shared with the library's evaluator,
 oracle, or trigger solver beyond the public data types and the scalar cost
 and latency callables, so agreement between the two routes is meaningful.
-The one exception is `full_scan_net`: it reuses the trigger engine's event
-loop and replaces only graph-limited forwarding, the part it checks.
+Two references keep the library's own code paths instead: `full_scan_net`
+reuses the trigger engine's event loop and replaces only graph-limited
+forwarding, and `full_dp_offline` is the segment DP scanning every start at
+every close, which the windowed oracle must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
 from aggsim.graph import CommGraph
-from aggsim.model import CommCost, EventTrace, LatencyFn, ReportSchedule
+from aggsim.model import (
+    CommCost,
+    EventTrace,
+    LatencyFn,
+    Report,
+    ReportSchedule,
+    UnityCost,
+)
+from aggsim.offline import DpTable, OfflineResult
 from aggsim.online import PartialIntercomm, ThresholdPolicy, _Engine
 
 
@@ -113,6 +125,71 @@ def brute_force_offline(
             total += rho * k * com + (1.0 - rho) * lat
         best = min(best, total)
     return best
+
+
+def full_dp_offline(
+    trace: EventTrace, k: int, rho: float, cost_fn: CommCost
+) -> OfflineResult:
+    """The segment DP with linear latency, scanning every start a < j at
+    every close j, and its K=1 reconstruction with one cover test per tied
+    system. Inputs are assumed valid (K-feasible, 0 < rho < 1, m >= 1)."""
+    m = trace.n_events
+    n = trace.n_systems
+    times = trace.times
+    weights = trace.weights
+    row_sum = weights.sum(axis=1)
+    sw = np.concatenate(([0.0], np.cumsum(row_sum)))
+    swt = np.concatenate(([0.0], np.cumsum(row_sum * times)))
+    unity = isinstance(cost_fn, UnityCost)
+    pw = np.vstack([np.zeros(n), np.cumsum(weights, axis=0)])
+
+    cost_min = np.empty(m + 1)
+    choice = np.zeros(m + 1, dtype=np.int64)
+    cost_min[0] = 0.0
+    for j in range(1, m + 1):
+        t_close = times[j - 1]
+        lat = t_close * (sw[j] - sw[:j]) - (swt[j] - swt[:j])
+        if unity:
+            com = np.ones(j)
+        else:
+            com = cost_fn.of_total_array((pw[j] - pw[:j]).min(axis=1))
+        cand = rho * k * com + (1.0 - rho) * lat + cost_min[:j]
+        a_best = int(np.argmin(cand))
+        cost_min[j] = cand[a_best]
+        choice[j] = j - a_best
+    table = DpTable(cost_min, choice)
+    value = float(cost_min[m])
+    if k > 1:
+        return OfflineResult(value, None, table)
+
+    segments = []
+    j = m
+    while j > 0:
+        length = int(choice[j])
+        segments.append((j - length, j))
+        j -= length
+    segments.reverse()
+    per_system = [[] for _ in range(n)]
+    for a, b in segments:
+        seg_tot = weights[a:b].sum(axis=0)
+        costs = cost_fn.of_total_array(seg_tot)
+        best_cost = float(costs.min())
+        tied = [i for i in range(n) if float(costs[i]) <= best_cost]
+        full_cover = [i for i in tied if bool((weights[a:b, i] > 0).all())]
+        i_star = full_cover[0] if full_cover else tied[0]
+        rows = range(a, b)
+        if not any(weights[r][i_star] > 0 for r in rows):
+            i_star = int(np.argmax(seg_tot > 0))
+        per_system[i_star].append(
+            Report(
+                float(times[b - 1]),
+                tuple(trace.event_ids[r] for r in rows if weights[r][i_star] > 0),
+                tuple(trace.event_ids[r] for r in rows if weights[r][i_star] <= 0),
+            )
+        )
+    return OfflineResult(
+        value, ReportSchedule(tuple(tuple(r) for r in per_system)), table
+    )
 
 
 def independent_thb(

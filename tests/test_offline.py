@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggsim.model import (
+    ClampedLogCost,
     EventTrace,
     LINEAR,
     LogCost,
@@ -153,3 +156,101 @@ def test_larger_instance_runs_fast():
     )
     res = offline_lb(tr, 1, 0.5, LogCost(), LINEAR)
     assert res.value > 0
+
+
+@st.composite
+def dp_instances(draw):
+    """Traces with explicit zeros repaired to K-feasibility, gaps from 1e-9
+    to heavy-tailed, absolute times up to about 1e6, and every cost."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 80))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = np.choose(
+        rng.choice(3, size=m, p=draw(st.sampled_from(GAP_MIXES))),
+        [
+            np.full(m, 1e-9),
+            rng.uniform(0.01, 2.0, size=m),
+            rng.pareto(draw(st.sampled_from([0.8, 1.5])), size=m) + 1e-9,
+        ],
+    )
+    start = draw(st.sampled_from([0.0, 3.0, 1e6, 1e6 + 0.123]))
+    w = rng.uniform(0.0, draw(st.sampled_from([0.1, 1.0, 20.0])), size=(m, n))
+    w[rng.uniform(size=(m, n)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    for row in w:
+        missing = k - int((row > 0).sum())
+        if missing > 0:
+            row[np.flatnonzero(row <= 0)[:missing]] = rng.uniform(1e-3, 4.0)
+    cost = draw(
+        st.sampled_from(
+            [
+                UnityCost(),
+                LogCost(),
+                LogCost(offset=7.0),
+                ClampedLogCost(c1=1.0, c0=1.5, w_lo=0.5, w_hi=6.0),
+            ]
+        )
+    )
+    rho = draw(st.floats(0.05, 0.95))
+    return EventTrace(start + np.cumsum(gaps), w), k, rho, cost
+
+
+# probabilities of 1e-9, uniform and heavy-tailed gaps
+GAP_MIXES = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.4, 0.3), (0.6, 0.0, 0.4)]
+
+
+def assert_same_as_full_scan(tr, k, rho, cost):
+    got = offline_lb(tr, k, rho, cost, LINEAR)
+    want = oracles.full_dp_offline(tr, k, rho, cost)
+    assert got.value.hex() == want.value.hex()
+    assert got.table.cost_min.tobytes() == want.table.cost_min.tobytes()
+    assert got.table.choice.tobytes() == want.table.choice.tobytes()
+    assert got.schedule == want.schedule
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(dp_instances())
+def test_window_matches_full_scan_dp(inst):
+    assert_same_as_full_scan(*inst)
+
+
+def two_events(gap, w=1.0):
+    return EventTrace([0.0, gap], [[w], [w]])
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+def test_window_boundary_is_tight_for_unity_cost(rho):
+    # merging costs rho + (1-rho)*w*d, splitting 2*rho; the window drops
+    # the merged start exactly when (1-rho)*w*d exceeds rho*K*c_max = rho
+    w = 0.75
+    below = two_events(rho * (1 - 1e-9) / ((1 - rho) * w), w)
+    res = offline_lb(below, 1, rho, UnityCost(), LINEAR)
+    assert res.table.choice[2] == 2
+    assert_same_as_full_scan(below, 1, rho, UnityCost())
+    above = two_events(rho * (1 + 1e-9) / ((1 - rho) * w), w)
+    res = offline_lb(above, 1, rho, UnityCost(), LINEAR)
+    assert list(res.table.choice[1:]) == [1, 1]
+    assert_same_as_full_scan(above, 1, rho, UnityCost())
+
+
+def test_window_keeps_a_start_that_only_rounding_makes_worse():
+    # 0.5 * d is one ulp above rho = 0.5, so the merged start is worse in
+    # exact arithmetic, but both candidates round to 1.0 and the full scan
+    # takes the first of the tie: the merged segment
+    tr = two_events(np.nextafter(1.0, 2.0))
+    res = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR)
+    assert res.table.choice[2] == 2
+    assert_same_as_full_scan(tr, 1, 0.5, UnityCost())
+
+
+def test_window_bounds_log_cost_by_its_largest_report():
+    # merging wins while (1-rho)*w*d < rho*(2*log(2+w) - log(2+2w)); that
+    # lies above rho*log(2), the cheapest report, and below
+    # rho*log(2+2w), the costliest one the window may assume
+    rho, w = 0.5, 3.0
+    gain = 2 * math.log(2 + w) - math.log(2 + 2 * w)
+    assert math.log(2.0) < gain < math.log(2 + 2 * w)
+    tr = two_events(0.5 * (math.log(2.0) + gain) * rho / ((1 - rho) * w), w)
+    res = offline_lb(tr, 1, rho, LogCost(), LINEAR)
+    assert res.table.choice[2] == 2
+    assert_same_as_full_scan(tr, 1, rho, LogCost())
