@@ -25,35 +25,24 @@ from aggsim.harness import (
     write_summary,
 )
 from aggsim.model import (
-    ClampedLogCost,
     CommCost,
-    CostBounds,
     CostBreakdown,
-    Event,
     EventTrace,
-    LatencyFn,
-    LinearLatency,
-    LINEAR,
     LogCost,
     Report,
     ReportSchedule,
     TraceFormatError,
     UnityCost,
     ValidationError,
-    accumulate_com,
-    accumulate_lat,
     evaluate,
-    gamma_k,
 )
 from aggsim.offline import OfflineResult, offline_lb
 from aggsim.online import (
     ThresholdPolicy,
     balance_root,
-    crossing_time,
     ratio_full,
     ratio_none,
     ratio_partial,
-    run,
     run_itc,
     run_net,
     run_thb,
@@ -68,7 +57,6 @@ from aggsim.workload import (
     SmallEvents,
     WeibullArrivals,
     WorkloadSpec,
-    gen_sigma1,
     gen_sigma2,
     gen_thm6_instance,
     gen_trace,

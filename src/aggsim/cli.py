@@ -24,7 +24,6 @@ from .graph import (
 from .harness import aggregate, load_config, run_scenario, write_results, write_summary
 from .model import (
     EventTrace,
-    LINEAR,
     ReportSchedule,
     TraceFormatError,
     ValidationError,
@@ -197,12 +196,12 @@ def _cmd_run(args) -> int:
             theta = threshold_partial(n, args.K, args.alpha, x, args.rho)
     policy = ThresholdPolicy(theta)
     if args.alg == "thb":
-        sched = run_thb(trace, policy, args.K, args.rho, cost_fn, LINEAR)
+        sched = run_thb(trace, policy, args.K, cost_fn)
     elif args.alg == "itc":
-        sched = run_itc(trace, policy, args.K, args.rho, cost_fn, LINEAR)
+        sched = run_itc(trace, policy, args.K, cost_fn)
     else:
-        sched = run_net(trace, policy, args.K, args.rho, cost_fn, LINEAR, graph)
-    out = evaluate(sched, trace, args.K, args.rho, cost_fn, LINEAR)
+        sched = run_net(trace, policy, args.K, cost_fn, graph)
+    out = evaluate(sched, trace, args.K, args.rho, cost_fn)
     print(f"theta={repr(theta)}")
     print(f"reports={sched.total_reports()}")
     print(f"comm={repr(out.comm)}")
@@ -217,7 +216,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     trace = EventTrace.from_csv(args.trace)
     cost_fn = parse_cost(args.cost)
-    result = offline_lb(trace, args.K, args.rho, cost_fn, LINEAR)
+    result = offline_lb(trace, args.K, args.rho, cost_fn)
     print(repr(result.value))
     return 0
 

@@ -15,15 +15,13 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graph import CommGraph, GenerationError, gen_udg, greedy_cds, greedy_mis, Role
 from .model import (
     CommCost,
-    EventTrace,
-    LINEAR,
     LogCost,
     UnityCost,
     ValidationError,
@@ -286,19 +284,19 @@ def _run_rep(
 
     t0 = time.perf_counter()
     if cfg.mode == "none":
-        sched = run_thb(trace, policy, k, rho, cost_fn, LINEAR)
+        sched = run_thb(trace, policy, k, cost_fn)
     elif cfg.mode == "full":
-        sched = run_itc(trace, policy, k, rho, cost_fn, LINEAR)
+        sched = run_itc(trace, policy, k, cost_fn)
     else:
         if graph is None:
             graph = (
                 CommGraph.empty(n) if cfg.mode == "nc" else CommGraph.complete(n)
             )
-        sched = run_net(trace, policy, k, rho, cost_fn, LINEAR, graph)
+        sched = run_net(trace, policy, k, cost_fn, graph)
     wall = time.perf_counter() - t0
 
-    alg_cost = evaluate(sched, trace, k, rho, cost_fn, LINEAR).total
-    oracle = offline_lb(trace, k, rho, cost_fn, LINEAR).value
+    alg_cost = evaluate(sched, trace, k, rho, cost_fn).total
+    oracle = offline_lb(trace, k, rho, cost_fn).value
     return ResultRow(
         scenario_code=code,
         mode=cfg.mode,
@@ -364,11 +362,13 @@ def _run_point(args: tuple[ScenarioConfig, int]) -> list[ResultRow]:
 
 
 def worker_count(requested: int | None = None) -> int:
-    limit = os.environ.get("DIA_THREADS")
-    cap = int(limit) if limit else (os.cpu_count() or 1)
-    if cap < 1:
-        raise ValidationError("DIA_THREADS must be >= 1")
-    return min(requested, cap) if requested else cap
+    """Pool size: the request capped at the core count, or all cores."""
+    cores = os.cpu_count() or 1
+    if requested is None:
+        return cores
+    if requested < 1:
+        raise ValidationError(f"workers must be >= 1, got {requested}")
+    return min(requested, cores)
 
 
 def run_scenario(
@@ -459,52 +459,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[ResultRow], timing: bool = False) -> str:
-    lines = [RESULT_COLUMNS]
+def _to_csv(columns: str, rows: list, blank: str | None = None) -> str:
+    """One line per dataclass row, its fields in declaration order; the
+    field named `blank` is left empty."""
+    lines = [columns]
     for r in rows:
         lines.append(
             ",".join(
-                (
-                    r.scenario_code,
-                    r.mode,
-                    str(r.n),
-                    str(r.k),
-                    _cell(r.rho),
-                    _cell(r.theta),
-                    _cell(r.seed),
-                    _cell(r.alg_cost),
-                    _cell(r.oracle_value),
-                    _cell(r.ratio),
-                    _cell(r.wall_time) if timing else "",
-                    _cell(r.alpha),
-                    r.error or "",
-                )
+                "" if f.name == blank else _cell(getattr(r, f.name))
+                for f in fields(r)
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def rows_to_csv(rows: list[ResultRow], timing: bool = False) -> str:
+    return _to_csv(RESULT_COLUMNS, rows, None if timing else "wall_time")
 
 
 def summary_to_csv(summaries: list[SummaryRow]) -> str:
-    lines = [SUMMARY_COLUMNS]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                (
-                    s.scenario_code,
-                    s.mode,
-                    str(s.n),
-                    str(s.k),
-                    _cell(s.rho),
-                    _cell(s.theta),
-                    _cell(s.mean_ratio),
-                    _cell(s.stddev_ratio),
-                    _cell(s.min_ratio),
-                    _cell(s.max_ratio),
-                    str(s.count),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _to_csv(SUMMARY_COLUMNS, summaries)
 
 
 def write_results(path: str, rows: list[ResultRow], timing: bool = False) -> None:

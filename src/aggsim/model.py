@@ -9,8 +9,9 @@ blends total report cost and total latency:
 
     total = rho * sum(report costs) + (1 - rho) * sum(per-observation latency)
 
-This module holds the trace and schedule types, the report cost and latency
-function families, and a pure evaluator for that objective.
+Latency is linear: an observation of weight w held from t_j to t costs
+w * (t - t_j). This module holds the trace and schedule types, the report
+cost families, and a pure evaluator for that objective.
 """
 
 from __future__ import annotations
@@ -18,30 +19,21 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
     "TraceFormatError",
-    "Event",
     "EventTrace",
     "CommCost",
     "UnityCost",
     "LogCost",
-    "ClampedLogCost",
-    "CostBounds",
-    "LatencyFn",
-    "LinearLatency",
-    "LINEAR",
     "Report",
     "ReportSchedule",
     "CostBreakdown",
-    "gamma_k",
     "evaluate",
-    "accumulate_lat",
-    "accumulate_com",
     "parse_cost",
 ]
 
@@ -59,13 +51,13 @@ class TraceFormatError(ValidationError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class Event:
-    """One event: its id, appearance time, and the per-system weight vector."""
+class _RowError(ValidationError):
+    """A trace invariant violated at one event row (0-based)."""
 
-    event_id: int
-    time: float
-    measurements: tuple[float, ...]
+    def __init__(self, message: str, row: int):
+        self.message = message
+        self.row = row
+        super().__init__(f"{message} (row {row})")
 
 
 class EventTrace:
@@ -93,24 +85,33 @@ class EventTrace:
                 f"weights must have shape (n_events, n_systems); got {w.shape} "
                 f"for {t.shape[0]} events"
             )
-        if t.shape[0] > 0:
-            if not np.all(np.isfinite(t)) or float(t[0]) < 0.0:
-                raise ValidationError("event times must be finite and nonnegative")
-            if np.any(np.diff(t) <= 0):
-                bad = int(np.argmax(np.diff(t) <= 0)) + 1
-                raise ValidationError(
-                    f"event times must be strictly increasing (violated at row {bad})"
-                )
-        if w.size and (not np.all(np.isfinite(w)) or np.any(w < 0)):
-            raise ValidationError("measurements must be finite and nonnegative")
+        bad_t = ~np.isfinite(t) | (t < 0.0)
+        if bad_t.any():
+            raise _RowError(
+                "event times must be finite and nonnegative",
+                int(np.argmax(bad_t)),
+            )
+        if np.any(np.diff(t) <= 0):
+            raise _RowError(
+                "event times must be strictly increasing",
+                int(np.argmax(np.diff(t) <= 0)) + 1,
+            )
+        bad_w = (~np.isfinite(w) | (w < 0)).any(axis=1)
+        if bad_w.any():
+            raise _RowError(
+                "measurements must be finite and nonnegative",
+                int(np.argmax(bad_w)),
+            )
         if event_ids is None:
             ids = tuple(range(t.shape[0]))
         else:
             ids = tuple(int(e) for e in event_ids)
             if len(ids) != t.shape[0]:
                 raise ValidationError("event_ids length must match times")
-            if len(set(ids)) != len(ids):
-                raise ValidationError("event ids must be unique")
+        index: dict[int, int] = {}
+        for row, e in enumerate(ids):
+            if index.setdefault(e, row) != row:
+                raise _RowError(f"duplicate event id {e}", row)
         t = t.copy()
         w = w.copy()
         t.setflags(write=False)
@@ -118,20 +119,7 @@ class EventTrace:
         self.times = t
         self.weights = w
         self.event_ids = ids
-        self._id_to_index = {e: k for k, e in enumerate(ids)}
-
-    @classmethod
-    def from_events(cls, events: Sequence[Event], n_systems: int) -> "EventTrace":
-        for ev in events:
-            if len(ev.measurements) != n_systems:
-                raise ValidationError(
-                    f"event {ev.event_id} has {len(ev.measurements)} measurements, "
-                    f"expected {n_systems}"
-                )
-        times = [ev.time for ev in events]
-        weights = np.array([ev.measurements for ev in events], dtype=np.float64)
-        weights = weights.reshape(len(events), n_systems)
-        return cls(times, weights, [ev.event_id for ev in events])
+        self._id_to_index = index
 
     @property
     def n_events(self) -> int:
@@ -144,15 +132,6 @@ class EventTrace:
     def __len__(self) -> int:
         return self.n_events
 
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events())
-
-    def events(self) -> list[Event]:
-        return [
-            Event(self.event_ids[k], float(self.times[k]), tuple(self.weights[k]))
-            for k in range(self.n_events)
-        ]
-
     def index_of(self, event_id: int) -> int:
         try:
             return self._id_to_index[event_id]
@@ -164,9 +143,6 @@ class EventTrace:
 
     def weight(self, system: int, event_id: int) -> float:
         return float(self.weights[self.index_of(event_id)][system])
-
-    def observer_count(self, event_id: int) -> int:
-        return int(np.count_nonzero(self.weights[self.index_of(event_id)] > 0))
 
     def check_k_feasible(self, k: int) -> None:
         """Every event must be observed (w > 0) by at least k systems."""
@@ -239,6 +215,7 @@ class EventTrace:
             ids: list[int] = []
             times: list[float] = []
             rows: list[list[float]] = []
+            linenos: list[int] = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -253,39 +230,20 @@ class EventTrace:
                     rows.append([float(v) for v in row[2:]])
                 except ValueError as exc:
                     raise TraceFormatError(str(exc), line=lineno) from None
-            try:
-                return cls(times, np.array(rows, dtype=np.float64).reshape(
-                    len(rows), n_systems
-                ), ids)
-            except ValidationError as exc:
-                raise TraceFormatError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class CostBounds:
-    """Per-report cost range: smallest, largest, and their ratio alpha."""
-
-    c_min: float
-    c_max: float
-
-    def __post_init__(self):
-        if not (0 < self.c_min <= self.c_max):
-            raise ValidationError(
-                f"need 0 < c_min <= c_max, got ({self.c_min}, {self.c_max})"
-            )
-
-    @property
-    def alpha(self) -> float:
-        return self.c_max / self.c_min
+                linenos.append(lineno)
+        weights = np.array(rows, dtype=np.float64).reshape(len(rows), n_systems)
+        try:
+            return cls(times, weights, ids)
+        except _RowError as exc:
+            raise TraceFormatError(exc.message, line=linenos[exc.row]) from None
 
 
 class CommCost:
     """Cost of one report as a function of the reported measurement set.
 
     All variants in scope depend on the set only through the sum of its
-    weights, are positive, non-decreasing, and subadditive. The cost of an
-    empty set is defined as the variant's minimum cost c_min, which every
-    variant here realizes naturally at total weight zero.
+    weights, are positive, non-decreasing, and subadditive. An empty set
+    costs the value at total weight zero, the variant's minimum.
     """
 
     name: str = "abstract"
@@ -293,20 +251,9 @@ class CommCost:
     def of_total(self, total_weight: float) -> float:
         raise NotImplementedError
 
-    def of_weights(self, weights: Iterable[float]) -> float:
-        return self.of_total(float(sum(weights)))
-
     def of_total_array(self, totals: np.ndarray) -> np.ndarray:
         """Vectorized of_total; subclasses override for speed."""
         return np.array([self.of_total(float(s)) for s in totals])
-
-    @property
-    def c_min(self) -> float:
-        return self.of_total(0.0)
-
-    def bounds(self, max_total_weight: float) -> CostBounds:
-        """Cost range when a report's total weight is at most the given cap."""
-        return CostBounds(self.c_min, self.of_total(float(max_total_weight)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -345,50 +292,6 @@ class LogCost(CommCost):
         return f"LogCost(offset={self.offset})"
 
 
-@dataclass(frozen=True, repr=False)
-class ClampedLogCost(CommCost):
-    """cost = c1 * log(clamp(total, w_lo, w_hi)) + c0.
-
-    Validation enforces positivity (c_min > 0) and the subadditivity margin
-    c_min >= c1 * log 2, which covers the worst split of a small total.
-    """
-
-    c1: float
-    c0: float
-    w_lo: float
-    w_hi: float
-    name: str = field(default="clamped-log", init=False)
-
-    def __post_init__(self):
-        if not (0 < self.w_lo <= self.w_hi):
-            raise ValidationError("need 0 < w_lo <= w_hi")
-        if self.c1 <= 0:
-            raise ValidationError("need c1 > 0 for a non-decreasing cost")
-        cmin = self.c1 * math.log(self.w_lo) + self.c0
-        if cmin <= 0:
-            raise ValidationError("clamped-log cost must be positive at w_lo")
-        if cmin < self.c1 * math.log(2.0):
-            raise ValidationError(
-                "subadditivity needs c1*log(w_lo) + c0 >= c1*log(2)"
-            )
-
-    def of_total(self, total_weight: float) -> float:
-        clamped = min(max(total_weight, self.w_lo), self.w_hi)
-        return self.c1 * math.log(clamped) + self.c0
-
-    def of_total_array(self, totals: np.ndarray) -> np.ndarray:
-        return self.c1 * np.log(np.clip(totals, self.w_lo, self.w_hi)) + self.c0
-
-    def bounds(self, max_total_weight: float) -> CostBounds:
-        return CostBounds(self.of_total(0.0), self.of_total(self.w_hi))
-
-    def __repr__(self) -> str:
-        return (
-            f"ClampedLogCost(c1={self.c1}, c0={self.c0}, "
-            f"w_lo={self.w_lo}, w_hi={self.w_hi})"
-        )
-
-
 def parse_cost(name: str) -> CommCost:
     """Map a scenario cost code or name to a cost function instance."""
     key = name.strip().lower()
@@ -397,32 +300,6 @@ def parse_cost(name: str) -> CommCost:
     if key in ("l", "log"):
         return LogCost()
     raise ValidationError(f"unknown cost function {name!r} (use unity or log)")
-
-
-class LatencyFn:
-    """Latency penalty of one observation held back until time t."""
-
-    name: str = "abstract"
-
-    def value(self, weight: float, event_time: float, t: float) -> float:
-        raise NotImplementedError
-
-
-class LinearLatency(LatencyFn):
-    """penalty = weight * (t - event_time); zero for unobserved events."""
-
-    name = "linear"
-
-    def value(self, weight: float, event_time: float, t: float) -> float:
-        if weight == 0.0:
-            return 0.0
-        return weight * (t - event_time)
-
-    def __repr__(self) -> str:
-        return "LinearLatency()"
-
-
-LINEAR = LinearLatency()
 
 
 @dataclass(frozen=True)
@@ -506,47 +383,19 @@ class CostBreakdown:
         return not self.infeasible_events
 
 
-def gamma_k(
-    schedule: ReportSchedule, trace: EventTrace, j: int, k: int
-) -> float:
-    """Time of the K-th report of event j by systems that observed it.
-
-    Qualifying reports are those whose `event_ids` contain j and whose sender
-    has positive weight for j; forwarded identifiers never qualify. Ties are
-    broken by (time, system index, report index), which cannot change the
-    returned time, only the identity of the K-th report. Returns +inf when
-    fewer than k qualifying reports exist.
-    """
-    idx = trace.index_of(j)
-    if not 1 <= k <= trace.n_systems:
-        raise ValidationError(f"K must be in [1, {trace.n_systems}], got {k}")
-    hits: list[tuple[float, int, int]] = []
-    for i, reports in enumerate(schedule.per_system):
-        if trace.weights[idx][i] <= 0.0:
-            continue
-        for r, rep in enumerate(reports):
-            if j in rep.event_ids:
-                hits.append((rep.time, i, r))
-    if len(hits) < k:
-        return math.inf
-    hits.sort()
-    return hits[k - 1][0]
-
-
 def evaluate(
     schedule: ReportSchedule,
     trace: EventTrace,
     k: int,
     rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
 ) -> CostBreakdown:
     """Score a schedule against the blended objective.
 
     Report cost sums cost_fn over each report's own originated measurements.
-    Latency charges every positive observation (i, j) from the event time to
-    the global K-th-report time of j, regardless of when system i itself
-    reported it.
+    Latency charges every observation (i, j) its weight times the time from
+    the event to the global K-th-report time of j, regardless of when
+    system i itself reported it.
     """
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
@@ -585,60 +434,9 @@ def evaluate(
             infeasible_events=tuple(infeasible),
         )
 
-    if isinstance(lat_fn, LinearLatency):
-        row_sums = trace.weights.sum(axis=1)
-        latency = float(np.dot(row_sums, gammas - trace.times))
-    else:
-        latency = 0.0
-        for pos in range(trace.n_events):
-            t_j = float(trace.times[pos])
-            g = float(gammas[pos])
-            for i in range(trace.n_systems):
-                w = float(trace.weights[pos][i])
-                if w > 0.0:
-                    latency += lat_fn.value(w, t_j, g)
+    row_sums = trace.weights.sum(axis=1)
+    latency = float(np.dot(row_sums, gammas - trace.times))
 
     total = rho * comm + (1.0 - rho) * latency
     return CostBreakdown(comm=comm, latency=latency, total=total)
 
-
-def accumulate_lat(
-    trace: EventTrace,
-    i: int,
-    t1: float,
-    t2: float,
-    unreported: Iterable[int],
-    lat_fn: LatencyFn,
-) -> float:
-    """Latency system i would have accrued by t2 for its pending events.
-
-    Sums lat_fn over events in `unreported` whose appearance time lies in the
-    half-open window (t1, t2]. The caller supplies the algorithm's current
-    pending set.
-    """
-    if t1 > t2:
-        raise ValidationError(f"window start {t1} exceeds end {t2}")
-    total = 0.0
-    for j in unreported:
-        idx = trace.index_of(j)
-        t_j = float(trace.times[idx])
-        if t1 < t_j <= t2:
-            total += lat_fn.value(float(trace.weights[idx][i]), t_j, t2)
-    return total
-
-
-def accumulate_com(
-    trace: EventTrace,
-    i: int,
-    unreported: Iterable[int],
-    cost_fn: CommCost,
-) -> float:
-    """Cost of the report system i would send for its pending events.
-
-    An empty pending set evaluates to the cost function's minimum, keeping the
-    trigger ratio's denominator positive.
-    """
-    total_w = 0.0
-    for j in unreported:
-        total_w += float(trace.weights[trace.index_of(j)][i])
-    return cost_fn.of_total(total_w)

@@ -13,16 +13,14 @@ Used as the denominator of every empirical ratio in the benchmark harness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from aggsim.model import (
     CommCost,
     EventTrace,
-    LatencyFn,
-    LinearLatency,
     Report,
     ReportSchedule,
     UnityCost,
@@ -56,7 +54,6 @@ def offline_lb(
     k: int,
     rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
 ) -> OfflineResult:
     """Best segment-partition cost; exact for K=1, a lower bound for K>1.
 
@@ -66,8 +63,8 @@ def offline_lb(
     cost_min[j] is the minimum over starts a < j of
     cand(a, j) = rho*K*com(a, j) + (1-rho)*lat(a, j) + cost_min[a], where
     com(a, j) is the cheapest system's report cost for rows [a, j) and
-    lat(a, j) holds those rows until t_{j-1}. With linear latency the loop
-    scans only the starts [lo, j). With b = a+1 < j and
+    lat(a, j) holds those rows until t_{j-1}. The loop scans only the starts
+    [lo, j). With b = a+1 < j and
     c_max = cost_fn.of_total(min_i sum_r w_ri), start a = lo is dropped for
     good once
 
@@ -89,8 +86,7 @@ def offline_lb(
     |cost_min| <= (m+1)*rho*K*c_max. The bound uses three cands, about
     41u*(T*S + (m+1)*rho*K*c_max) in all, so a dropped start also loses in
     computed values. The window's cand values are the full scan's bit for
-    bit, and so are cost_min, choice, the value and the schedule. A generic
-    lat_fn keeps lo = 0: the proof needs linear latency.
+    bit, and so are cost_min, choice, the value and the schedule.
     """
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
@@ -108,7 +104,6 @@ def offline_lb(
     weights = trace.weights
     row_sum = weights.sum(axis=1)
 
-    linear = isinstance(lat_fn, LinearLatency)
     # Prefix sums over event rows; index j covers the first j events.
     sw = np.concatenate(([0.0], np.cumsum(row_sum)))
     swt = np.concatenate(([0.0], np.cumsum(row_sum * times)))
@@ -121,33 +116,21 @@ def offline_lb(
     cost_min[0] = 0.0
 
     lo = 0  # every start below lo is dominated at every remaining close
-    if linear:
-        c_max = 1.0 if unity else cost_fn.of_total(float(pw[m].min()))
-        tol = 64 * np.finfo(float).eps * (
-            times[-1] * sw[m] + (m + 1) * rho * k * c_max
-        )
-        drop_above = rho * k * c_max + tol
+    c_max = 1.0 if unity else cost_fn.of_total(float(pw[m].min()))
+    tol = 64 * np.finfo(float).eps * (
+        times[-1] * sw[m] + (m + 1) * rho * k * c_max
+    )
+    drop_above = rho * k * c_max + tol
 
     for j in range(1, m + 1):
         t_close = times[j - 1]
-        if linear:
-            while (
-                lo < j - 1
-                and (1.0 - rho) * (sw[lo + 1] - sw[lo]) * (t_close - times[lo])
-                > drop_above
-            ):
-                lo += 1
-            lat = t_close * (sw[j] - sw[lo:j]) - (swt[j] - swt[lo:j])
-        else:
-            lat = np.empty(j)
-            for a in range(j):
-                acc = 0.0
-                for r in range(a, j):
-                    for i in range(n):
-                        w = float(weights[r][i])
-                        if w > 0:
-                            acc += lat_fn.value(w, float(times[r]), t_close)
-                lat[a] = acc
+        while (
+            lo < j - 1
+            and (1.0 - rho) * (sw[lo + 1] - sw[lo]) * (t_close - times[lo])
+            > drop_above
+        ):
+            lo += 1
+        lat = t_close * (sw[j] - sw[lo:j]) - (swt[j] - swt[lo:j])
         if unity:
             com = 1.0  # rho * k * 1.0 broadcasts to the same bits as an array
         else:
@@ -178,34 +161,29 @@ def offline_lb(
 
     per_system: list[list[Report]] = [[] for _ in range(n)]
     for a, b in segments:
-        seg_tot = weights[a:b].sum(axis=0)
+        seg_w = weights[a:b]
+        seg_tot = seg_w.sum(axis=0)
         costs = cost_fn.of_total_array(seg_tot)
-        best_cost = float(costs.min())
         # Among systems tied for the cheapest segment report, prefer one
         # that observed every event in the segment (keeps the schedule
         # deliverable); lowest index breaks remaining ties.
-        tied = costs <= best_cost
-        full_cover = np.flatnonzero(tied & (weights[a:b] > 0).all(axis=0))
+        seen = seg_w > 0
+        tied = costs <= costs.min()
+        full_cover = np.flatnonzero(tied & seen.all(axis=0))
         i_star = int(full_cover[0]) if full_cover.size else int(np.argmax(tied))
-        originated = []
-        forwarded = []
-        for r in range(a, b):
-            if weights[r][i_star] > 0:
-                originated.append(trace.event_ids[r])
-            else:
-                forwarded.append(trace.event_ids[r])
-        if not originated:
+        obs = seen[:, i_star].tolist()
+        if not any(obs):
             # chosen system saw nothing in the segment; fall back to any
             # observer of the segment's events (exists by 1-feasibility)
             i_star = int(np.argmax(seg_tot > 0))
-            originated = [
-                trace.event_ids[r] for r in range(a, b) if weights[r][i_star] > 0
-            ]
-            forwarded = [
-                trace.event_ids[r] for r in range(a, b) if weights[r][i_star] <= 0
-            ]
+            obs = seen[:, i_star].tolist()
+        ids = trace.event_ids[a:b]
         per_system[i_star].append(
-            Report(float(times[b - 1]), tuple(originated), tuple(forwarded))
+            Report(
+                float(times[b - 1]),
+                tuple(compress(ids, obs)),
+                tuple(e for e, o in zip(ids, obs) if not o),
+            )
         )
     schedule = ReportSchedule(tuple(tuple(r) for r in per_system))
     return OfflineResult(value, schedule, table)

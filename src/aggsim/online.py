@@ -28,9 +28,6 @@ from aggsim.graph import CommGraph, Role
 from aggsim.model import (
     CommCost,
     EventTrace,
-    LatencyFn,
-    LinearLatency,
-    LINEAR,
     Report,
     ReportSchedule,
     ValidationError,
@@ -38,10 +35,6 @@ from aggsim.model import (
 
 __all__ = [
     "ThresholdPolicy",
-    "NoIntercomm",
-    "FullIntercomm",
-    "PartialIntercomm",
-    "IntercommMode",
     "balance_root",
     "threshold_none",
     "threshold_full",
@@ -49,8 +42,6 @@ __all__ = [
     "ratio_none",
     "ratio_full",
     "ratio_partial",
-    "crossing_time",
-    "run",
     "run_thb",
     "run_itc",
     "run_net",
@@ -62,17 +53,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Trigger threshold: one scalar, or one value per system.
-
-    With `heterogeneous` set, the effective threshold becomes
-    theta + epsilon * (cost of the would-be report), which deterministically
-    staggers otherwise simultaneous crossings so the cheapest report fires
-    first. epsilon defaults to 1e-6 * theta.
-    """
+    """Trigger threshold: one scalar, or one value per system."""
 
     theta: float | tuple[float, ...]
-    heterogeneous: bool = False
-    epsilon: float | None = None
 
     def __post_init__(self):
         th = self.theta
@@ -85,46 +68,17 @@ class ThresholdPolicy:
             for v in values
         ):
             raise ValidationError(f"theta must be positive and finite, got {th}")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
 
     def theta_for(self, i: int) -> float:
         if isinstance(self.theta, tuple):
             return self.theta[i]
         return float(self.theta)
 
-    def epsilon_for(self, i: int) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        return 1e-6 * self.theta_for(i)
-
     def check_systems(self, n: int) -> None:
         if isinstance(self.theta, tuple) and len(self.theta) != n:
             raise ValidationError(
                 f"theta vector has {len(self.theta)} entries for {n} systems"
             )
-
-
-@dataclass(frozen=True)
-class NoIntercomm:
-    """Systems never overhear each other."""
-
-
-@dataclass(frozen=True)
-class FullIntercomm:
-    """Everyone overhears every report; ties fire in priority order."""
-
-    priority: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class PartialIntercomm:
-    """Overhearing restricted to neighbors in a communication graph."""
-
-    graph: CommGraph
-
-
-IntercommMode = NoIntercomm | FullIntercomm | PartialIntercomm
 
 
 # ------------------------------------------------- threshold closed forms
@@ -191,55 +145,6 @@ def ratio_partial(n: int, k: int, alpha: float, x: float) -> float:
     return balance_root(n, k, alpha, x) + 1.0
 
 
-# -------------------------------------------------------- crossing solver
-
-
-def crossing_time(
-    pending: Sequence[tuple[float, float]],
-    target: float,
-    floor: float,
-    lat_fn: LatencyFn = LINEAR,
-) -> float:
-    """Earliest t >= floor at which accumulated latency reaches target.
-
-    `pending` holds (weight, event_time) pairs with positive total weight.
-    Solved in closed form for linear latency; any other monotone latency
-    falls back to bracketed bisection at 1e-9 absolute tolerance.
-    """
-    if isinstance(lat_fn, LinearLatency):
-        a = 0.0
-        b = 0.0
-        for w, te in pending:
-            a += w
-            b += w * te
-        if a <= 0:
-            raise ValidationError("crossing needs positive total weight")
-        return max((target + b) / a, floor)
-
-    def lat(t: float) -> float:
-        return sum(lat_fn.value(w, te, t) for w, te in pending)
-
-    lo = max(floor, max(te for _, te in pending))
-    if lat(lo) >= target:
-        return lo
-    step = 1.0
-    hi = lo + step
-    while lat(hi) < target:
-        step *= 2.0
-        hi = lo + step
-        if step > 1e18:
-            raise ValidationError("latency never reaches the trigger target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lat(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9:
-            break
-    return hi
-
-
 # ------------------------------------------------------------- the engine
 
 
@@ -254,6 +159,11 @@ class _Engine:
     time in priority order; every fire updates shared counts before the
     next candidate is examined, which realizes same-instant cascades.
 
+    The sharing rule is fixed at construction: with `full`, a report is
+    heard by everyone and an event leaves every pending set once it has K
+    reports; with a graph, reports reach neighbors only (below); with
+    neither, systems run independently.
+
     Graph-limited mode adds a `known` table per node, mapping event rows to
     the systems known to have reported them. A forward node keeps its whole
     table, the first-seen rank of each row in it (`seen`) and its `dirty`
@@ -267,18 +177,19 @@ class _Engine:
         policy: ThresholdPolicy,
         k: int,
         cost_fn: CommCost,
-        lat_fn: LatencyFn,
-        mode: IntercommMode,
+        graph: CommGraph | None = None,
+        full: bool = False,
+        priority: Sequence[int] | None = None,
     ):
+        n = trace.n_systems
+        if not 1 <= k <= n:
+            raise ValidationError(f"K must be in [1, {n}], got {k}")
+        policy.check_systems(n)
         self.trace = trace
         self.policy = policy
         self.k = k
         self.cost_fn = cost_fn
-        self.lat_fn = lat_fn
-        self.mode = mode
-        n = trace.n_systems
         self.n = n
-        self.linear = isinstance(lat_fn, LinearLatency)
 
         self.pend: list[dict[int, float]] = [dict() for _ in range(n)]
         self.acc_w = [0.0] * n
@@ -288,55 +199,44 @@ class _Engine:
         self.out: list[list[Report]] = [[] for _ in range(n)]
         self.heap: list[tuple[float, int, int, int]] = []
 
-        if isinstance(mode, FullIntercomm):
-            pri = mode.priority
-            if pri is None:
-                pri = tuple(range(n))
-            if sorted(pri) != list(range(n)):
-                raise ValidationError(
-                    f"priority must be a permutation of 0..{n - 1}"
-                )
-            self.rank = [0] * n
-            for pos, i in enumerate(pri):
-                self.rank[i] = pos
-            self.cnt = [0] * trace.n_events
-            self.holders: list[set[int]] = [set() for _ in range(trace.n_events)]
-        elif isinstance(mode, PartialIntercomm):
-            g = mode.graph
-            if g.n != n:
-                raise ValidationError(
-                    f"graph has {g.n} nodes for {n} systems"
-                )
-            self.rank = list(range(n))
+        pri = tuple(range(n)) if priority is None else tuple(priority)
+        if sorted(pri) != list(range(n)):
+            raise ValidationError(f"priority must be a permutation of 0..{n - 1}")
+        self.rank = [0] * n
+        for pos, i in enumerate(pri):
+            self.rank[i] = pos
+
+        # _share(self, i, rows, t) tells the others about i's report of
+        # `rows` at t and returns the ids i forwards with it. It is stored
+        # unbound: a bound method would put the engine in a reference cycle
+        # and keep its tables alive after run() until the cycle collector.
+        if graph is not None:
+            if graph.n != n:
+                raise ValidationError(f"graph has {graph.n} nodes for {n} systems")
             self.known: list[dict[int, set[int]]] = [dict() for _ in range(n)]
             self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
             self.dirty: list[set[int]] = [set() for _ in range(n)]
-            self.neighbors = [sorted(g.neighbors(i)) for i in range(n)]
-            self.is_forward = [g.roles[i] is Role.FORWARD for i in range(n)]
+            self.neighbors = [sorted(graph.neighbors(i)) for i in range(n)]
+            self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
+            self._share = type(self)._propagate_net
+        elif full:
+            self.cnt = [0] * trace.n_events
+            self._share = type(self)._share_full
         else:
-            self.rank = list(range(n))
+            self._share = type(self)._share_none
 
     # -- per-system trigger bookkeeping
 
-    def _target(self, i: int) -> float:
-        com = self.cost_fn.of_total(self.acc_w[i])
-        theta = self.policy.theta_for(i)
-        if self.policy.heterogeneous:
-            theta = theta + self.policy.epsilon_for(i) * com
-        return theta * com
-
     def _push(self, i: int) -> None:
+        """Schedule i's next crossing: the earliest t >= floor at which
+        sum w * (t - t_e) over i's pending events reaches theta_i times the
+        cost of the report i would send."""
         if not self.pend[i]:
             return
-        target = self._target(i)
-        if self.linear:
-            t_star = (target + self.acc_wt[i]) / self.acc_w[i]
-            if t_star < self.floor[i]:
-                t_star = self.floor[i]
-        else:
-            times = self.trace.times
-            pairs = [(w, float(times[r])) for r, w in self.pend[i].items()]
-            t_star = crossing_time(pairs, target, self.floor[i], self.lat_fn)
+        target = self.policy.theta_for(i) * self.cost_fn.of_total(self.acc_w[i])
+        t_star = (target + self.acc_wt[i]) / self.acc_w[i]
+        if t_star < self.floor[i]:
+            t_star = self.floor[i]
         heapq.heappush(self.heap, (t_star, self.rank[i], i, self.version[i]))
 
     def _add_arrival(self, i: int, row: int, t: float, w: float) -> None:
@@ -345,8 +245,6 @@ class _Engine:
         self.acc_wt[i] += w * t
         self.floor[i] = t
         self.version[i] += 1
-        if isinstance(self.mode, FullIntercomm):
-            self.holders[row].add(i)
         self._push(i)
 
     def _remove(self, i: int, row: int, t: float) -> None:
@@ -372,20 +270,22 @@ class _Engine:
         self.acc_wt[i] = 0.0
         self.floor[i] = t
         self.version[i] += 1
+        self.out[i].append(Report(t, ids, self._share(self, i, rows, t)))
 
-        forwarded: tuple[int, ...] = ()
-        if isinstance(self.mode, FullIntercomm):
-            for row in rows:
-                self.holders[row].discard(i)
-            for row in rows:
-                self.cnt[row] += 1
-                if self.cnt[row] == self.k:
-                    for r in sorted(self.holders[row]):
+    def _share_none(self, i: int, rows: list[int], t: float) -> tuple[()]:
+        return ()
+
+    def _share_full(self, i: int, rows: list[int], t: float) -> tuple[()]:
+        """Everyone hears i; an event with K reports leaves every pending
+        set, in system order."""
+        pend = self.pend
+        for row in rows:
+            self.cnt[row] += 1
+            if self.cnt[row] == self.k:
+                for r in range(self.n):
+                    if row in pend[r]:
                         self._remove(r, row, t)
-                    self.holders[row].clear()
-        elif isinstance(self.mode, PartialIntercomm):
-            forwarded = self._propagate_net(i, rows, t)
-        self.out[i].append(Report(t, ids, forwarded))
+        return ()
 
     def _propagate_net(
         self, i: int, rows: list[int], t: float
@@ -490,78 +390,36 @@ class _Engine:
         return ReportSchedule(tuple(tuple(r) for r in self.out))
 
 
-def _run_checked(
-    trace: EventTrace,
-    policy: ThresholdPolicy,
-    k: int,
-    rho: float,
-    cost_fn: CommCost,
-    lat_fn: LatencyFn,
-    mode: IntercommMode,
-) -> ReportSchedule:
-    if not 0 < rho < 1:
-        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    if not 1 <= k <= trace.n_systems:
-        raise ValidationError(
-            f"K must be in [1, {trace.n_systems}], got {k}"
-        )
-    policy.check_systems(trace.n_systems)
-    return _Engine(trace, policy, k, cost_fn, lat_fn, mode).run()
-
-
-def run(
-    trace: EventTrace,
-    policy: ThresholdPolicy,
-    k: int,
-    rho: float,
-    cost_fn: CommCost,
-    lat_fn: LatencyFn,
-    mode: IntercommMode,
-) -> ReportSchedule:
-    """Run the threshold algorithm matching `mode` on one trace."""
-    return _run_checked(trace, policy, k, rho, cost_fn, lat_fn, mode)
-
-
 def run_thb(
     trace: EventTrace,
     policy: ThresholdPolicy,
     k: int,
-    rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
 ) -> ReportSchedule:
     """Independent threshold reporting; every observer reports everything."""
-    return _run_checked(
-        trace, policy, k, rho, cost_fn, lat_fn, NoIntercomm()
-    )
+    return _Engine(trace, policy, k, cost_fn).run()
 
 
 def run_itc(
     trace: EventTrace,
     policy: ThresholdPolicy,
     k: int,
-    rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
     priority: Sequence[int] | None = None,
 ) -> ReportSchedule:
-    """Full intercommunication: drop events already reported K times."""
-    pri = tuple(priority) if priority is not None else None
-    return _run_checked(
-        trace, policy, k, rho, cost_fn, lat_fn, FullIntercomm(pri)
-    )
+    """Full intercommunication: drop events already reported K times.
+
+    Simultaneous crossings fire in `priority` order (default: by index).
+    """
+    return _Engine(trace, policy, k, cost_fn, full=True, priority=priority).run()
 
 
 def run_net(
     trace: EventTrace,
     policy: ThresholdPolicy,
     k: int,
-    rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
     graph: CommGraph,
 ) -> ReportSchedule:
     """Graph-restricted intercommunication with forward-role relaying."""
-    return _run_checked(
-        trace, policy, k, rho, cost_fn, lat_fn, PartialIntercomm(graph)
-    )
+    return _Engine(trace, policy, k, cost_fn, graph=graph).run()

@@ -174,11 +174,6 @@ def gen_thm6_instance(
     return EventTrace([0.0, 1.0], np.vstack([row, row]))
 
 
-def gen_sigma1(n_systems: int, thetas, epsilon: float = 1e-6) -> EventTrace:
-    """Equal-communication-cost variant of the two-event instance."""
-    return gen_thm6_instance(n_systems, thetas, 1.0, epsilon)
-
-
 def gen_sigma2(n_systems: int, epsilon: float = 1e-6) -> EventTrace:
     """Geometric burst seen by system 0 only: event h arrives at 1 - 2^-h
     with weight 2^h/sqrt(N) + eps. Only a single-report requirement is

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive: plain Python loops, set arithmetic,
-and exhaustive enumeration. No code is shared with the library's evaluator,
-oracle, or trigger solver beyond the public data types and the scalar cost
-and latency callables, so agreement between the two routes is meaningful.
+and exhaustive enumeration. Latency is written out as weight times delay.
+No code is shared with the library's evaluator, oracle, or trigger solver
+beyond the public data types and the scalar cost callables, so agreement
+between the two routes is meaningful.
 Two references keep the library's own code paths instead: `full_scan_net`
 reuses the trigger engine's event loop and replaces only graph-limited
 forwarding, and `full_dp_offline` is the segment DP scanning every start at
@@ -21,13 +22,12 @@ from aggsim.graph import CommGraph
 from aggsim.model import (
     CommCost,
     EventTrace,
-    LatencyFn,
     Report,
     ReportSchedule,
     UnityCost,
 )
 from aggsim.offline import DpTable, OfflineResult
-from aggsim.online import PartialIntercomm, ThresholdPolicy, _Engine
+from aggsim.online import ThresholdPolicy, _Engine
 
 
 def naive_gamma(
@@ -49,7 +49,6 @@ def naive_total(
     k: int,
     rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
 ) -> float:
     """Blended objective computed by direct per-pair summation."""
     comm = 0.0
@@ -67,7 +66,7 @@ def naive_total(
         for i in range(trace.n_systems):
             w = trace.weight(i, j)
             if w > 0:
-                latency += lat_fn.value(w, t_j, g)
+                latency += w * (g - t_j)
     return rho * comm + (1.0 - rho) * latency
 
 
@@ -92,7 +91,6 @@ def brute_force_offline(
     k: int,
     rho: float,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
 ) -> float:
     """Exhaustive minimum over consecutive-segment partitions.
 
@@ -121,7 +119,7 @@ def brute_force_offline(
                 for i in range(trace.n_systems):
                     w = float(trace.weights[r][i])
                     if w > 0:
-                        lat += lat_fn.value(w, t_r, t_close)
+                        lat += w * (t_close - t_r)
             total += rho * k * com + (1.0 - rho) * lat
         best = min(best, total)
     return best
@@ -199,8 +197,7 @@ def independent_thb(
 ) -> list[list[tuple[float, tuple[int, ...]]]]:
     """Reference no-intercommunication march with bisection crossings.
 
-    Returns, per system, (report_time, event_ids) pairs. Linear latency
-    only. `theta` is a scalar or per-system sequence. Written without the
+    Returns, per system, (report_time, event_ids) pairs. `theta` is a scalar or per-system sequence. Written without the
     closed-form solver or any engine machinery.
     """
     n = trace.n_systems
@@ -231,6 +228,22 @@ def independent_thb(
     return out
 
 
+def accumulate_lat(
+    trace: EventTrace, i: int, t: float, pending: list[int]
+) -> float:
+    """Latency system i has accrued by t on the pending event ids."""
+    return sum(
+        trace.weight(i, j) * (t - trace.time_of(j)) for j in pending
+    )
+
+
+def accumulate_com(
+    trace: EventTrace, i: int, pending: list[int], cost_fn: CommCost
+) -> float:
+    """Cost of the report system i would send for the pending event ids."""
+    return cost_fn.of_total(sum(trace.weight(i, j) for j in pending))
+
+
 def crossing_time_bisect(
     pending: list[tuple[float, float]],
     target: float,
@@ -239,8 +252,8 @@ def crossing_time_bisect(
 ) -> float:
     """Earliest t with sum(w * (t - t_e)) >= target, by bisection.
 
-    `pending` holds (weight, event_time) pairs. Reference for the
-    closed-form crossing solver; assumes at least one positive weight.
+    `pending` holds (weight, event_time) pairs. Reference for the engine's
+    closed-form crossing; assumes at least one positive weight.
     """
 
     def lat(t: float) -> float:
@@ -349,10 +362,8 @@ class _FullScanNetEngine(_Engine):
     forwards every row whose set is larger than when it last forwarded it.
     """
 
-    def __init__(self, trace, policy, k, cost_fn, lat_fn, graph):
-        super().__init__(
-            trace, policy, k, cost_fn, lat_fn, PartialIntercomm(graph)
-        )
+    def __init__(self, trace, policy, k, cost_fn, graph):
+        super().__init__(trace, policy, k, cost_fn, graph=graph)
         self.known = [dict() for _ in range(self.n)]
         self.fwd_sent = [dict() for _ in range(self.n)]
 
@@ -386,8 +397,7 @@ def full_scan_net(
     policy: ThresholdPolicy,
     k: int,
     cost_fn: CommCost,
-    lat_fn: LatencyFn,
     graph: CommGraph,
 ) -> ReportSchedule:
     """Reference for `run_net`: forwarding by rescanning full tables."""
-    return _FullScanNetEngine(trace, policy, k, cost_fn, lat_fn, graph).run()
+    return _FullScanNetEngine(trace, policy, k, cost_fn, graph).run()

@@ -15,7 +15,6 @@ import oracles
 from aggsim.graph import CommGraph, Role
 from aggsim.harness import ScenarioConfig, run_scenario, rows_to_csv
 from aggsim.model import (
-    LINEAR,
     EventTrace,
     LogCost,
     UnityCost,
@@ -52,15 +51,15 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def thb_ratio(trace, theta, k, rho):
-    sched = run_thb(trace, ThresholdPolicy(theta), k, rho, UnityCost(), LINEAR)
-    total = evaluate(sched, trace, k, rho, UnityCost(), LINEAR).total
-    return total / offline_lb(trace, k, rho, UnityCost(), LINEAR).value
+    sched = run_thb(trace, ThresholdPolicy(theta), k, UnityCost())
+    total = evaluate(sched, trace, k, rho, UnityCost()).total
+    return total / offline_lb(trace, k, rho, UnityCost()).value
 
 
 def itc_ratio(trace, theta, k, rho):
-    sched = run_itc(trace, ThresholdPolicy(theta), k, rho, UnityCost(), LINEAR)
-    total = evaluate(sched, trace, k, rho, UnityCost(), LINEAR).total
-    return total / offline_lb(trace, k, rho, UnityCost(), LINEAR).value
+    sched = run_itc(trace, ThresholdPolicy(theta), k, UnityCost())
+    total = evaluate(sched, trace, k, rho, UnityCost()).total
+    return total / offline_lb(trace, k, rho, UnityCost()).value
 
 
 def small_trace(n, m, seed, k=1):
@@ -158,11 +157,11 @@ def test_criterion_04_graph_mode_continuity():
         full_graph = CommGraph.complete(n)
         no_graph = CommGraph.from_edges(n, [])
         same_itc = run_net(
-            tr, pol, k, 0.5, UnityCost(), LINEAR, full_graph
-        ) == run_itc(tr, pol, k, 0.5, UnityCost(), LINEAR)
+            tr, pol, k, UnityCost(), full_graph
+        ) == run_itc(tr, pol, k, UnityCost())
         same_thb = run_net(
-            tr, pol, k, 0.5, UnityCost(), LINEAR, no_graph
-        ) == run_thb(tr, pol, k, 0.5, UnityCost(), LINEAR)
+            tr, pol, k, UnityCost(), no_graph
+        ) == run_thb(tr, pol, k, UnityCost())
         matches += same_itc and same_thb
     worst_gap = 0.0
     for n in (2, 5, 10, 25, 100):
@@ -212,8 +211,8 @@ def test_criterion_05_oracle_matches_exhaustive_search():
         tr = random_small_instance(rng, n_max=3, m_max=6, k=1)
         rho = float(rng.choice([0.3, 0.5, 0.7]))
         cost = LogCost() if rng.random() < 0.5 else UnityCost()
-        dp = offline_lb(tr, 1, rho, cost, LINEAR).value
-        bf = oracles.brute_force_offline(tr, 1, rho, cost, LINEAR)
+        dp = offline_lb(tr, 1, rho, cost).value
+        bf = oracles.brute_force_offline(tr, 1, rho, cost)
         worst = max(worst, abs(dp - bf))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -246,15 +245,15 @@ def test_criterion_06_oracle_lower_bounds_every_algorithm():
         theta = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
         pol = ThresholdPolicy(theta)
         for k in (1, 2, 3):
-            lb = offline_lb(tr, k, 0.5, UnityCost(), LINEAR).value
+            lb = offline_lb(tr, k, 0.5, UnityCost()).value
             for alg in ("thb", "itc", "net"):
                 if alg == "thb":
-                    s = run_thb(tr, pol, k, 0.5, UnityCost(), LINEAR)
+                    s = run_thb(tr, pol, k, UnityCost())
                 elif alg == "itc":
-                    s = run_itc(tr, pol, k, 0.5, UnityCost(), LINEAR)
+                    s = run_itc(tr, pol, k, UnityCost())
                 else:
-                    s = run_net(tr, pol, k, 0.5, UnityCost(), LINEAR, graph)
-                total = evaluate(s, tr, k, 0.5, UnityCost(), LINEAR).total
+                    s = run_net(tr, pol, k, UnityCost(), graph)
+                total = evaluate(s, tr, k, 0.5, UnityCost()).total
                 worst_slack = min(worst_slack, total - lb)
                 runs += 1
     ok = worst_slack >= -1e-9 and runs == 500 * 9
@@ -292,17 +291,17 @@ def test_criterion_07_threshold_run_subadditivity():
         tr = small_trace(n, m, int(rng.integers(2**31)))
         theta = float(np.exp(rng.uniform(np.log(0.05), np.log(1.5))))
         pol = ThresholdPolicy(theta)
-        full = run_thb(tr, pol, 1, 0.5, UnityCost(), LINEAR)
+        full = run_thb(tr, pol, 1, UnityCost())
         cuts = split_boundaries(tr, full)
         if not cuts:
             continue
         s = int(rng.choice(cuts))
         left, right = tr.split_at(s)
-        cost_full = evaluate(full, tr, 1, 0.5, UnityCost(), LINEAR).total
+        cost_full = evaluate(full, tr, 1, 0.5, UnityCost()).total
         cost_parts = sum(
             evaluate(
-                run_thb(part, pol, 1, 0.5, UnityCost(), LINEAR),
-                part, 1, 0.5, UnityCost(), LINEAR,
+                run_thb(part, pol, 1, UnityCost()),
+                part, 1, 0.5, UnityCost(),
             ).total
             for part in (left, right)
         )

@@ -245,6 +245,27 @@ def test_sweep_bad_config(capsys, tmp_path):
     assert code == 1 and "line" in err
 
 
+def test_sweep_worker_count_errors_exit_one(capsys, tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        '{"scenario": "SPU", "mode": "none", "N": [4], "K": [1],'
+        ' "rho": [0.5], "runs": 1, "n_events": 10, "seed": 0}',
+    )
+    out = str(tmp_path / "r.csv")
+    for workers in ("0", "-1"):
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", cfg, "--out", out, "--workers", workers
+        )
+        assert code == 1
+        assert err.startswith("error:") and "workers" in err
+        assert "Traceback" not in err
+    # an unparsable DIA_THREADS no longer reaches the pool size
+    monkeypatch.setenv("DIA_THREADS", "abc")
+    assert run_cli(
+        capsys, "sweep", "--config", cfg, "--out", out, "--workers", "1"
+    )[0] == 0
+
+
 # ------------------------------------------------------------- exit status
 
 

@@ -3,6 +3,7 @@ emission."""
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from aggsim.harness import (
     worker_count,
     write_results,
 )
+from aggsim.model import ValidationError
 from aggsim.online import ratio_none, threshold_none, threshold_partial
 
 
@@ -325,12 +327,13 @@ def test_worker_pool_equivalence():
 
 
 def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DIA_THREADS", "3")
+    # the pool size follows the request and the core count, no variable
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("DIA_THREADS", "abc")
     assert worker_count() == 3
     assert worker_count(2) == 2
     assert worker_count(8) == 3
-    monkeypatch.setenv("DIA_THREADS", "0")
-    with pytest.raises(Exception):
-        worker_count()
-    monkeypatch.delenv("DIA_THREADS")
     assert worker_count(1) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            worker_count(bad)

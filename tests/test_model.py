@@ -1,4 +1,4 @@
-"""Tests for the core types, cost and latency functions, and the evaluator."""
+"""Tests for the core types, the cost functions, and the evaluator."""
 
 from __future__ import annotations
 
@@ -10,20 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggsim.model import (
-    ClampedLogCost,
-    CostBounds,
     EventTrace,
-    LINEAR,
     LogCost,
     Report,
     ReportSchedule,
     TraceFormatError,
     UnityCost,
     ValidationError,
-    accumulate_com,
-    accumulate_lat,
     evaluate,
-    gamma_k,
     parse_cost,
 )
 import oracles
@@ -43,10 +37,7 @@ def test_trace_basic_accessors():
     assert tr.index_of(9) == 1
     assert tr.time_of(7) == 1.0
     assert tr.weight(1, 9) == 2.0
-    assert tr.observer_count(7) == 1
-    evs = tr.events()
-    assert evs[1].measurements == (0.25, 2.0)
-    assert list(tr)[0].event_id == 7
+    assert len(tr) == 2
 
 
 def test_trace_validation():
@@ -128,6 +119,21 @@ def test_trace_csv_errors(tmp_path):
         EventTrace.from_csv(str(p))
     assert exc.value.line == 2
 
+    # value errors name the file line of the offending row; the blank line
+    # is not a row but still counts as a line
+    head = "event_id,time,w_1\n0,1.0,0.5\n\n"
+    for body, line in [
+        ("1,2.0,0.5\n2,2.0,0.5\n", 5),  # non-increasing time
+        ("1,2.0,nan\n", 4),
+        ("1,2.0,0.5\n2,3.0,-1.0\n", 5),
+        ("1,2.0,0.5\n1,3.0,0.5\n", 5),  # duplicate id
+    ]:
+        p.write_text(head + body)
+        with pytest.raises(TraceFormatError) as exc:
+            EventTrace.from_csv(str(p))
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
 
 # ---------------------------------------------------------- cost functions
 
@@ -136,46 +142,15 @@ def test_unity_cost():
     c = UnityCost()
     assert c.of_total(0.0) == 1.0
     assert c.of_total(123.4) == 1.0
-    assert c.of_weights([1, 2, 3]) == 1.0
-    assert c.c_min == 1.0
-    assert c.bounds(50.0).alpha == 1.0
 
 
 def test_log_cost_values():
     c = LogCost()
-    assert c.of_weights([1.0, 1.0]) == math.log(4.0)
+    assert c.of_total(2.0) == math.log(4.0)
     assert c.of_total(0.0) == math.log(2.0)
-    assert c.c_min == math.log(2.0)
-    b = c.bounds(6.0)
-    assert b.c_max == math.log(8.0)
-    assert b.alpha == pytest.approx(3.0)
+    assert c.of_total(6.0) == math.log(8.0)
     with pytest.raises(ValidationError):
         LogCost(offset=1.5)
-
-
-def test_clamped_log_cost():
-    c = ClampedLogCost(c1=1.0, c0=0.0, w_lo=2.0, w_hi=16.0)
-    assert c.of_total(0.0) == math.log(2.0)  # clamped up
-    assert c.of_total(100.0) == math.log(16.0)  # clamped down
-    assert c.of_total(4.0) == math.log(4.0)
-    assert c.bounds(1e9).alpha == pytest.approx(4.0)
-    with pytest.raises(ValidationError):
-        ClampedLogCost(c1=1.0, c0=0.0, w_lo=0.5, w_hi=16.0)  # c_min <= 0
-    with pytest.raises(ValidationError):
-        ClampedLogCost(c1=-1.0, c0=5.0, w_lo=2.0, w_hi=4.0)
-    with pytest.raises(ValidationError):
-        ClampedLogCost(c1=1.0, c0=0.0, w_lo=8.0, w_hi=4.0)
-    with pytest.raises(ValidationError):
-        # positive but below the c1*log(2) subadditivity margin
-        ClampedLogCost(c1=1.0, c0=-0.2, w_lo=1.5, w_hi=4.0)
-
-
-def test_cost_bounds_validation():
-    with pytest.raises(ValidationError):
-        CostBounds(2.0, 1.0)
-    with pytest.raises(ValidationError):
-        CostBounds(0.0, 1.0)
-    assert CostBounds(0.5, 2.0).alpha == 4.0
 
 
 def test_parse_cost():
@@ -191,8 +166,6 @@ COST_VARIANTS = [
     UnityCost(),
     LogCost(),
     LogCost(offset=5.0),
-    ClampedLogCost(c1=1.0, c0=0.0, w_lo=2.0, w_hi=50.0),
-    ClampedLogCost(c1=0.5, c0=1.0, w_lo=2.0, w_hi=10.0),
 ]
 
 
@@ -211,11 +184,13 @@ def test_cost_functions_are_positive_monotone_subadditive(a, b):
 
 
 def test_linear_latency():
-    assert LINEAR.value(2.0, 1.0, 4.0) == 6.0
-    assert LINEAR.value(0.0, 1.0, 100.0) == 0.0
+    # weight 2 held from t=1 to 4 costs 6; the unobserving system adds 0
+    tr = make_trace([1.0], [[2.0, 0.0]])
+    sched = ReportSchedule(((Report(4.0, (0,)),), ()))
+    assert evaluate(sched, tr, 1, 0.5, UnityCost()).latency == 6.0
 
 
-# ------------------------------------------------------------------ gamma
+# ------------------------------------------ gamma: the K-th report time
 
 
 def test_gamma_second_smallest_of_three():
@@ -227,21 +202,24 @@ def test_gamma_second_smallest_of_three():
             (Report(7.0, (0,)),),
         )
     )
-    assert gamma_k(sched, tr, 0, 2) == 5.0
-    assert gamma_k(sched, tr, 0, 1) == 3.0
-    assert gamma_k(sched, tr, 0, 3) == 7.0
+    # three unit observations, each held until the K-th report
+    for k, gamma in [(2, 5.0), (1, 3.0), (3, 7.0)]:
+        out = evaluate(sched, tr, k, 0.5, UnityCost())
+        assert out.latency == 3 * (gamma - 1.0)
 
 
 def test_gamma_immediate_single_report():
     tr = make_trace([2.5], [[1.0]])
     sched = ReportSchedule(((Report(2.5, (0,)),),))
-    assert gamma_k(sched, tr, 0, 1) == 2.5
+    assert evaluate(sched, tr, 1, 0.5, UnityCost()).latency == 0.0
 
 
 def test_gamma_short_of_k_is_infinite():
     tr = make_trace([1.0], [[1.0, 1.0]])
     sched = ReportSchedule(((Report(2.0, (0,)),), ()))
-    assert gamma_k(sched, tr, 0, 2) == math.inf
+    out = evaluate(sched, tr, 2, 0.5, UnityCost())
+    assert out.infeasible_events == (0,)
+    assert out.latency == math.inf
 
 
 def test_gamma_ignores_nonobservers_and_forwards():
@@ -254,17 +232,18 @@ def test_gamma_ignores_nonobservers_and_forwards():
             (Report(6.0, (0,)),),
         )
     )
-    assert gamma_k(sched, tr, 0, 1) == 4.0
-    assert gamma_k(sched, tr, 0, 2) == 6.0
+    assert evaluate(sched, tr, 1, 0.5, UnityCost()).latency == 2 * 3.0
+    assert evaluate(sched, tr, 2, 0.5, UnityCost()).latency == 2 * 5.0
 
 
 def test_gamma_input_errors():
     tr = make_trace([1.0], [[1.0]])
+    unknown = ReportSchedule(((Report(1.0, (42,)),),))
+    with pytest.raises(ValidationError, match="unknown event id"):
+        evaluate(unknown, tr, 1, 0.5, UnityCost())
     sched = ReportSchedule(((Report(1.0, (0,)),),))
     with pytest.raises(ValidationError):
-        gamma_k(sched, tr, 42, 1)
-    with pytest.raises(ValidationError):
-        gamma_k(sched, tr, 0, 2)
+        evaluate(sched, tr, 2, 0.5, UnityCost())
 
 
 def seeded_instance(rng, n_events=None, n_systems=None):
@@ -295,15 +274,22 @@ def random_full_schedule(rng, trace):
 
 
 def test_gamma_matches_naive_on_random_schedules():
+    # evaluate's latency charges each event's weight until its K-th report
     rng = np.random.default_rng(11)
     for _ in range(50):
         tr = seeded_instance(rng)
         sched = random_full_schedule(rng, tr)
-        for j in tr.event_ids:
-            for k in range(1, tr.n_systems + 1):
-                assert gamma_k(sched, tr, j, k) == oracles.naive_gamma(
-                    sched, tr, j, k
-                )
+        for k in range(1, tr.n_systems + 1):
+            gammas = [oracles.naive_gamma(sched, tr, j, k) for j in tr.event_ids]
+            out = evaluate(sched, tr, k, 0.5, UnityCost())
+            if math.inf in gammas:
+                assert not out.feasible
+                continue
+            want = sum(
+                float(tr.weights[r].sum()) * (g - float(tr.times[r]))
+                for r, g in enumerate(gammas)
+            )
+            assert out.latency == pytest.approx(want, abs=1e-12)
 
 
 # --------------------------------------------------------------- evaluate
@@ -312,7 +298,7 @@ def test_gamma_matches_naive_on_random_schedules():
 def test_evaluate_single_system_example():
     tr = make_trace([0.0], [[1.0]])
     sched = ReportSchedule(((Report(2.0, (0,)),),))
-    out = evaluate(sched, tr, 1, 0.5, UnityCost(), LINEAR)
+    out = evaluate(sched, tr, 1, 0.5, UnityCost())
     assert out.comm == 1.0
     assert out.latency == 2.0
     assert out.total == 1.5
@@ -325,19 +311,18 @@ def test_evaluate_two_system_shared_event():
     sched = ReportSchedule(
         ((Report(1.0, (0,)),), (Report(3.0, (0,)),))
     )
-    out = evaluate(sched, tr, 1, 0.5, UnityCost(), LINEAR)
+    out = evaluate(sched, tr, 1, 0.5, UnityCost())
     assert out.comm == 2.0
     assert out.latency == 2.0
     assert out.total == 2.0
     assert out.total == oracles.naive_total(
-        sched, tr, 1, 0.5, UnityCost(), LINEAR
-    )
+        sched, tr, 1, 0.5, UnityCost())
 
 
 def test_evaluate_infeasible_event():
     tr = make_trace([0.0, 1.0], [[1.0], [1.0]])
     sched = ReportSchedule(((Report(0.5, (0,)),),))
-    out = evaluate(sched, tr, 1, 0.5, UnityCost(), LINEAR)
+    out = evaluate(sched, tr, 1, 0.5, UnityCost())
     assert out.infeasible_events == (1,)
     assert math.isinf(out.latency)
     assert math.isinf(out.total)
@@ -348,20 +333,20 @@ def test_evaluate_rejects_bad_schedules():
     tr = make_trace([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]])
     early = ReportSchedule(((Report(0.5, (0,)),), ()))
     with pytest.raises(ValidationError, match="precedes"):
-        evaluate(early, tr, 1, 0.5, UnityCost(), LINEAR)
+        evaluate(early, tr, 1, 0.5, UnityCost())
     unobserved = ReportSchedule(((), (Report(3.0, (0, 1)),)))
     with pytest.raises(ValidationError, match="forwarded"):
-        evaluate(unobserved, tr, 1, 0.5, UnityCost(), LINEAR)
+        evaluate(unobserved, tr, 1, 0.5, UnityCost())
     disordered = ReportSchedule(
         ((Report(2.0, (0,)), Report(2.0, (1,))), ())
     )
     with pytest.raises(ValidationError, match="strictly increase"):
-        evaluate(disordered, tr, 1, 0.5, UnityCost(), LINEAR)
+        evaluate(disordered, tr, 1, 0.5, UnityCost())
     ok = ReportSchedule(((Report(2.5, (0, 1)),), ()))
     with pytest.raises(ValidationError):
-        evaluate(ok, tr, 1, 1.5, UnityCost(), LINEAR)
+        evaluate(ok, tr, 1, 1.5, UnityCost())
     with pytest.raises(ValidationError):
-        evaluate(ok, tr, 3, 0.5, UnityCost(), LINEAR)
+        evaluate(ok, tr, 3, 0.5, UnityCost())
 
 
 def test_evaluate_counts_forwarded_copies_for_free():
@@ -373,8 +358,8 @@ def test_evaluate_counts_forwarded_copies_for_free():
     only_fwd = ReportSchedule(
         ((Report(2.0, (0,)),), (Report(3.0, (), forwarded_ids=(0,)),))
     )
-    full = evaluate(with_fwd, tr, 2, 0.5, UnityCost(), LINEAR)
-    fwd = evaluate(only_fwd, tr, 2, 0.5, UnityCost(), LINEAR)
+    full = evaluate(with_fwd, tr, 2, 0.5, UnityCost())
+    fwd = evaluate(only_fwd, tr, 2, 0.5, UnityCost())
     assert full.feasible
     assert not fwd.feasible  # forwarded copy does not reach K=2
 
@@ -387,8 +372,8 @@ def test_evaluate_matches_naive_on_random_instances():
         k = int(rng.integers(1, tr.n_systems + 1))
         rho = float(rng.uniform(0.1, 0.9))
         cost = COST_VARIANTS[int(rng.integers(len(COST_VARIANTS)))]
-        mine = evaluate(sched, tr, k, rho, cost, LINEAR)
-        ref = oracles.naive_total(sched, tr, k, rho, cost, LINEAR)
+        mine = evaluate(sched, tr, k, rho, cost)
+        ref = oracles.naive_total(sched, tr, k, rho, cost)
         if math.isinf(ref):
             assert not mine.feasible
         else:
@@ -403,8 +388,8 @@ def test_evaluate_permutation_symmetry():
         perm = rng.permutation(3)
         tr_p = EventTrace(tr.times, tr.weights[:, perm], tr.event_ids)
         sched_p = ReportSchedule(tuple(sched.per_system[p] for p in perm))
-        a = evaluate(sched, tr, 1, 0.5, LogCost(), LINEAR)
-        b = evaluate(sched_p, tr_p, 1, 0.5, LogCost(), LINEAR)
+        a = evaluate(sched, tr, 1, 0.5, LogCost())
+        b = evaluate(sched_p, tr_p, 1, 0.5, LogCost())
         assert a.total == pytest.approx(b.total, abs=1e-9)
 
 
@@ -413,7 +398,7 @@ def test_latency_never_decreases_when_reports_delay():
     for _ in range(40):
         tr = seeded_instance(rng)
         sched = random_full_schedule(rng, tr)
-        base = evaluate(sched, tr, 1, 0.5, UnityCost(), LINEAR)
+        base = evaluate(sched, tr, 1, 0.5, UnityCost())
         i = int(rng.integers(0, tr.n_systems))
         if not sched.per_system[i]:
             continue
@@ -428,8 +413,7 @@ def test_latency_never_decreases_when_reports_delay():
         per = list(sched.per_system)
         per[i] = tuple(reports)
         delayed = evaluate(
-            ReportSchedule(tuple(per)), tr, 1, 0.5, UnityCost(), LINEAR
-        )
+            ReportSchedule(tuple(per)), tr, 1, 0.5, UnityCost())
         assert delayed.latency >= base.latency - 1e-12
 
 
@@ -438,22 +422,17 @@ def test_latency_never_decreases_when_reports_delay():
 
 def test_accumulate_lat_examples():
     tr = make_trace([0.0], [[2.0]])
-    assert accumulate_lat(tr, 0, -math.inf, 3.0, [0], LINEAR) == 6.0
-    assert accumulate_lat(tr, 0, -math.inf, 3.0, [], LINEAR) == 0.0
-
+    assert oracles.accumulate_lat(tr, 0, 3.0, [0]) == 6.0
+    assert oracles.accumulate_lat(tr, 0, 3.0, []) == 0.0
     tr2 = make_trace([0.0, 1.0], [[1.0], [3.0]])
-    assert accumulate_lat(tr2, 0, -1.0, 2.0, [0, 1], LINEAR) == 5.0
-    # half-open window: t1 excludes, t2 includes
-    assert accumulate_lat(tr2, 0, 0.0, 2.0, [0, 1], LINEAR) == 3.0
-    assert accumulate_lat(tr2, 0, -1.0, 1.0, [0, 1], LINEAR) == 1.0
-    with pytest.raises(ValidationError):
-        accumulate_lat(tr2, 0, 5.0, 2.0, [0, 1], LINEAR)
+    assert oracles.accumulate_lat(tr2, 0, 2.0, [0, 1]) == 5.0
+    assert oracles.accumulate_lat(tr2, 0, 2.0, [1]) == 3.0
 
 
 def test_accumulate_com_examples():
     tr = make_trace([0.0, 1.0], [[1.0, 0.5], [1.0, 2.0]])
-    assert accumulate_com(tr, 0, [0, 1], UnityCost()) == 1.0
-    assert accumulate_com(tr, 0, [0, 1], LogCost()) == math.log(4.0)
-    assert accumulate_com(tr, 0, [], UnityCost()) == 1.0
-    assert accumulate_com(tr, 0, [], LogCost()) == math.log(2.0)
-    assert accumulate_com(tr, 1, [1], LogCost()) == math.log(4.0)
+    assert oracles.accumulate_com(tr, 0, [0, 1], UnityCost()) == 1.0
+    assert oracles.accumulate_com(tr, 0, [0, 1], LogCost()) == math.log(4.0)
+    assert oracles.accumulate_com(tr, 0, [], UnityCost()) == 1.0
+    assert oracles.accumulate_com(tr, 0, [], LogCost()) == math.log(2.0)
+    assert oracles.accumulate_com(tr, 1, [1], LogCost()) == math.log(4.0)

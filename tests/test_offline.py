@@ -10,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggsim.model import (
-    ClampedLogCost,
     EventTrace,
-    LINEAR,
     LogCost,
     Report,
     ReportSchedule,
@@ -26,17 +24,17 @@ import oracles
 
 def test_two_event_single_system_value():
     tr = EventTrace([0.0, 1.0], [[1.0], [1.0]])
-    res = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR)
+    res = offline_lb(tr, 1, 0.5, UnityCost())
     # one report at t=1 and two immediate reports both cost exactly 1
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.schedule is not None
-    out = evaluate(res.schedule, tr, 1, 0.5, UnityCost(), LINEAR)
+    out = evaluate(res.schedule, tr, 1, 0.5, UnityCost())
     assert out.total == pytest.approx(res.value, abs=1e-12)
 
 
 def test_single_event_reports_immediately():
     tr = EventTrace([3.0], [[0.5, 2.0]])
-    res = offline_lb(tr, 1, 0.5, LogCost(), LINEAR)
+    res = offline_lb(tr, 1, 0.5, LogCost())
     assert res.value == pytest.approx(0.5 * math.log(2.5), abs=1e-12)
     (reports,) = [r for r in res.schedule.per_system if r]
     assert reports[0].time == 3.0
@@ -44,20 +42,20 @@ def test_single_event_reports_immediately():
 
 def test_empty_trace():
     tr = EventTrace([], np.zeros((0, 2)))
-    res = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR)
+    res = offline_lb(tr, 1, 0.5, UnityCost())
     assert res.value == 0.0
     assert res.schedule.total_reports() == 0
 
 
 def test_k2_identical_observers_doubles_comm():
     tr = EventTrace([0.0, 0.5, 1.0], np.ones((3, 2)))
-    r1 = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR)
-    r2 = offline_lb(tr, 2, 0.5, UnityCost(), LINEAR)
+    r1 = offline_lb(tr, 1, 0.5, UnityCost())
+    r2 = offline_lb(tr, 2, 0.5, UnityCost())
     assert r2.schedule is None
     # unity comm doubles while latency is unchanged; verify against the
     # exhaustive reference rather than assuming the same partition wins
     assert r2.value == pytest.approx(
-        oracles.brute_force_offline(tr, 2, 0.5, UnityCost(), LINEAR), abs=1e-12
+        oracles.brute_force_offline(tr, 2, 0.5, UnityCost()), abs=1e-12
     )
     assert r2.value <= 2 * r1.value + 1e-12
 
@@ -65,7 +63,7 @@ def test_k2_identical_observers_doubles_comm():
 def test_k2_lower_bounds_feasible_two_report_schedules():
     rng = np.random.default_rng(5)
     tr = EventTrace([0.0, 0.7, 1.1], rng.uniform(0.2, 1.0, size=(3, 2)))
-    lb = offline_lb(tr, 2, 0.5, UnityCost(), LINEAR).value
+    lb = offline_lb(tr, 2, 0.5, UnityCost()).value
     times = [1.2, 1.5, 2.0]
     best = math.inf
     # every schedule where both systems report everything in one batch
@@ -78,7 +76,7 @@ def test_k2_lower_bounds_feasible_two_report_schedules():
                 )
             )
             best = min(
-                best, evaluate(sched, tr, 2, 0.5, UnityCost(), LINEAR).total
+                best, evaluate(sched, tr, 2, 0.5, UnityCost()).total
             )
     assert lb <= best + 1e-9
 
@@ -86,9 +84,9 @@ def test_k2_lower_bounds_feasible_two_report_schedules():
 def test_validation_errors():
     tr = EventTrace([0.0], [[1.0, 0.0]])
     with pytest.raises(ValidationError):
-        offline_lb(tr, 2, 0.5, UnityCost(), LINEAR)  # not 2-feasible
+        offline_lb(tr, 2, 0.5, UnityCost())  # not 2-feasible
     with pytest.raises(ValidationError):
-        offline_lb(tr, 1, 1.0, UnityCost(), LINEAR)
+        offline_lb(tr, 1, 1.0, UnityCost())
 
 
 def random_instance(rng):
@@ -110,8 +108,8 @@ def test_matches_exhaustive_partition_minimum():
         tr = random_instance(rng)
         rho = float(rng.uniform(0.2, 0.8))
         cost = costs[int(rng.integers(2))]
-        mine = offline_lb(tr, 1, rho, cost, LINEAR).value
-        ref = oracles.brute_force_offline(tr, 1, rho, cost, LINEAR)
+        mine = offline_lb(tr, 1, rho, cost).value
+        ref = oracles.brute_force_offline(tr, 1, rho, cost)
         assert mine == pytest.approx(ref, abs=1e-9)
 
 
@@ -125,8 +123,8 @@ def test_reconstruction_matches_value_on_positive_traces():
             rng.uniform(0.05, 1.0, size=(m, n)),
         )
         rho = float(rng.uniform(0.2, 0.8))
-        res = offline_lb(tr, 1, rho, LogCost(), LINEAR)
-        out = evaluate(res.schedule, tr, 1, rho, LogCost(), LINEAR)
+        res = offline_lb(tr, 1, rho, LogCost())
+        out = evaluate(res.schedule, tr, 1, rho, LogCost())
         assert out.feasible
         assert out.total == pytest.approx(res.value, abs=1e-9)
 
@@ -134,7 +132,7 @@ def test_reconstruction_matches_value_on_positive_traces():
 def test_table_backpointers_cover_the_prefix():
     rng = np.random.default_rng(37)
     tr = random_instance(rng)
-    res = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR)
+    res = offline_lb(tr, 1, 0.5, UnityCost())
     j = tr.n_events
     seen = 0
     while j > 0:
@@ -154,7 +152,7 @@ def test_larger_instance_runs_fast():
         np.cumsum(rng.uniform(0.5, 1.5, size=m)),
         rng.uniform(0.0, 1.0, size=(m, n)),
     )
-    res = offline_lb(tr, 1, 0.5, LogCost(), LINEAR)
+    res = offline_lb(tr, 1, 0.5, LogCost())
     assert res.value > 0
 
 
@@ -187,7 +185,6 @@ def dp_instances(draw):
                 UnityCost(),
                 LogCost(),
                 LogCost(offset=7.0),
-                ClampedLogCost(c1=1.0, c0=1.5, w_lo=0.5, w_hi=6.0),
             ]
         )
     )
@@ -200,7 +197,7 @@ GAP_MIXES = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.3, 0.4, 0.3), (0.6, 0.0, 0.4)]
 
 
 def assert_same_as_full_scan(tr, k, rho, cost):
-    got = offline_lb(tr, k, rho, cost, LINEAR)
+    got = offline_lb(tr, k, rho, cost)
     want = oracles.full_dp_offline(tr, k, rho, cost)
     assert got.value.hex() == want.value.hex()
     assert got.table.cost_min.tobytes() == want.table.cost_min.tobytes()
@@ -224,11 +221,11 @@ def test_window_boundary_is_tight_for_unity_cost(rho):
     # the merged start exactly when (1-rho)*w*d exceeds rho*K*c_max = rho
     w = 0.75
     below = two_events(rho * (1 - 1e-9) / ((1 - rho) * w), w)
-    res = offline_lb(below, 1, rho, UnityCost(), LINEAR)
+    res = offline_lb(below, 1, rho, UnityCost())
     assert res.table.choice[2] == 2
     assert_same_as_full_scan(below, 1, rho, UnityCost())
     above = two_events(rho * (1 + 1e-9) / ((1 - rho) * w), w)
-    res = offline_lb(above, 1, rho, UnityCost(), LINEAR)
+    res = offline_lb(above, 1, rho, UnityCost())
     assert list(res.table.choice[1:]) == [1, 1]
     assert_same_as_full_scan(above, 1, rho, UnityCost())
 
@@ -238,7 +235,7 @@ def test_window_keeps_a_start_that_only_rounding_makes_worse():
     # exact arithmetic, but both candidates round to 1.0 and the full scan
     # takes the first of the tie: the merged segment
     tr = two_events(np.nextafter(1.0, 2.0))
-    res = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR)
+    res = offline_lb(tr, 1, 0.5, UnityCost())
     assert res.table.choice[2] == 2
     assert_same_as_full_scan(tr, 1, 0.5, UnityCost())
 
@@ -251,6 +248,6 @@ def test_window_bounds_log_cost_by_its_largest_report():
     gain = 2 * math.log(2 + w) - math.log(2 + 2 * w)
     assert math.log(2.0) < gain < math.log(2 + 2 * w)
     tr = two_events(0.5 * (math.log(2.0) + gain) * rho / ((1 - rho) * w), w)
-    res = offline_lb(tr, 1, rho, LogCost(), LINEAR)
+    res = offline_lb(tr, 1, rho, LogCost())
     assert res.table.choice[2] == 2
     assert_same_as_full_scan(tr, 1, rho, LogCost())

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,28 +14,20 @@ from hypothesis import strategies as st
 from aggsim.graph import CommGraph, Role, compute_x
 from aggsim.model import (
     EventTrace,
-    LatencyFn,
-    LINEAR,
     LogCost,
     Report,
     UnityCost,
     ValidationError,
-    accumulate_com,
-    accumulate_lat,
     evaluate,
 )
 from aggsim.offline import offline_lb
 from aggsim.online import (
-    FullIntercomm,
-    NoIntercomm,
-    PartialIntercomm,
     ThresholdPolicy,
+    _Engine,
     balance_root,
-    crossing_time,
     ratio_full,
     ratio_none,
     ratio_partial,
-    run,
     run_itc,
     run_net,
     run_thb,
@@ -126,49 +120,32 @@ def test_policy_validation():
         ThresholdPolicy(-1.0)
     with pytest.raises(ValidationError):
         ThresholdPolicy((0.5, 0.0))
-    with pytest.raises(ValidationError):
-        ThresholdPolicy(0.5, heterogeneous=True, epsilon=-1e-9)
     pol = ThresholdPolicy([0.5, 0.25])
     assert pol.theta_for(1) == 0.25
     with pytest.raises(ValidationError):
         pol.check_systems(3)
-    assert ThresholdPolicy(2.0).epsilon_for(0) == pytest.approx(2e-6)
 
 
-# -------------------------------------------------------- crossing solver
-
-
-class _LinearClone(LatencyFn):
-    """Linear latency that is not the LinearLatency type, to force the
-    generic bisection path."""
-
-    name = "linear-clone"
-
-    def value(self, weight, event_time, t):
-        return 0.0 if weight == 0.0 else weight * (t - event_time)
+# ------------------------------------------------------ crossing instants
 
 
 def test_crossing_closed_form_matches_bisection():
+    # one system, every event pending until after the last arrival: its
+    # single report fires at the engine's closed-form crossing
     rng = np.random.default_rng(13)
     for _ in range(100):
         count = int(rng.integers(1, 6))
-        pend = [
-            (float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.0, 5.0)))
-            for _ in range(count)
-        ]
-        target = float(rng.uniform(0.01, 5.0))
-        floor = max(t for _, t in pend)
-        exact = crossing_time(pend, target, floor)
-        ref = oracles.crossing_time_bisect(pend, target, floor)
-        assert exact == pytest.approx(ref, abs=1e-8)
-        generic = crossing_time(pend, target, floor, _LinearClone())
-        assert generic == pytest.approx(exact, abs=1e-7)
-
-
-def test_crossing_floor_clamp():
-    assert crossing_time([(1.0, 0.0)], 0.5, 2.0) == 2.0
-    with pytest.raises(ValidationError):
-        crossing_time([(0.0, 0.0)], 0.5, 0.0)
+        times = np.sort(rng.uniform(0.0, 5.0, size=count))
+        w = rng.uniform(0.05, 3.0, size=count)
+        tr = EventTrace(times, w[:, None])
+        t_last = float(times[-1])
+        target = oracles.accumulate_lat(tr, 0, t_last, list(range(count)))
+        target += float(rng.uniform(0.01, 5.0))
+        s = run_thb(tr, ThresholdPolicy(target), 1, UnityCost())
+        assert len(s.per_system[0]) == 1
+        pend = list(zip(w.tolist(), times.tolist()))
+        ref = oracles.crossing_time_bisect(pend, target, t_last)
+        assert s.per_system[0][0].time == pytest.approx(ref, abs=1e-8)
 
 
 # ------------------------------------------------------- basic engine runs
@@ -176,7 +153,7 @@ def test_crossing_floor_clamp():
 
 def test_single_event_unit_threshold():
     tr = EventTrace([0.0], [[1.0]])
-    s = run_thb(tr, ThresholdPolicy(1.0), 1, 0.5, UnityCost(), LINEAR)
+    s = run_thb(tr, ThresholdPolicy(1.0), 1, UnityCost())
     assert s.per_system[0] == (Report(1.0, (0,)),)
 
 
@@ -184,7 +161,7 @@ def test_tiny_threshold_reports_immediately():
     rng = np.random.default_rng(3)
     times = np.cumsum(rng.uniform(0.5, 1.5, size=8))
     tr = EventTrace(times, rng.uniform(0.2, 1.0, size=(8, 2)))
-    s = run_thb(tr, ThresholdPolicy(1e-12), 1, 0.5, UnityCost(), LINEAR)
+    s = run_thb(tr, ThresholdPolicy(1e-12), 1, UnityCost())
     for i in range(2):
         assert len(s.per_system[i]) == 8
         for rep, t in zip(s.per_system[i], times):
@@ -193,33 +170,21 @@ def test_tiny_threshold_reports_immediately():
 
 def test_unobserving_system_stays_silent():
     tr = EventTrace([0.0, 1.0], [[1.0, 0.0], [2.0, 0.0]])
-    s = run_thb(tr, ThresholdPolicy(0.7), 1, 0.5, UnityCost(), LINEAR)
+    s = run_thb(tr, ThresholdPolicy(0.7), 1, UnityCost())
     assert s.per_system[1] == ()
-
-
-def test_run_dispatch_matches_wrappers():
-    tr = EventTrace([0.0, 0.4], [[1.0, 0.5], [0.3, 0.8]])
-    pol = ThresholdPolicy(0.6)
-    args = (tr, pol, 1, 0.5, UnityCost(), LINEAR)
-    assert run(*args, NoIntercomm()) == run_thb(*args)
-    assert run(*args, FullIntercomm()) == run_itc(*args)
-    g = CommGraph.complete(2)
-    assert run(*args, PartialIntercomm(g)) == run_net(*args, g)
 
 
 def test_engine_validation():
     tr = EventTrace([0.0], [[1.0, 1.0]])
     pol = ThresholdPolicy(1.0)
     with pytest.raises(ValidationError):
-        run_thb(tr, pol, 3, 0.5, UnityCost(), LINEAR)
+        run_thb(tr, pol, 3, UnityCost())
     with pytest.raises(ValidationError):
-        run_thb(tr, pol, 1, 0.0, UnityCost(), LINEAR)
+        run_itc(tr, pol, 1, UnityCost(), priority=(0, 0))
     with pytest.raises(ValidationError):
-        run_itc(tr, pol, 1, 0.5, UnityCost(), LINEAR, priority=(0, 0))
+        run_net(tr, pol, 1, UnityCost(), CommGraph.empty(3))
     with pytest.raises(ValidationError):
-        run_net(tr, pol, 1, 0.5, UnityCost(), LINEAR, CommGraph.empty(3))
-    with pytest.raises(ValidationError):
-        run_thb(tr, ThresholdPolicy((1.0, 1.0, 1.0)), 1, 0.5, UnityCost(), LINEAR)
+        run_thb(tr, ThresholdPolicy((1.0, 1.0, 1.0)), 1, UnityCost())
 
 
 def feasible_instance(rng, n_max=5, m_max=9, k=None):
@@ -242,7 +207,7 @@ def test_thb_matches_independent_march():
         tr, _ = feasible_instance(rng)
         theta = float(rng.uniform(0.05, 2.0))
         cost = [UnityCost(), LogCost()][int(rng.integers(2))]
-        mine = run_thb(tr, ThresholdPolicy(theta), 1, 0.5, cost, LINEAR)
+        mine = run_thb(tr, ThresholdPolicy(theta), 1, cost)
         ref = oracles.independent_thb(tr, theta, cost)
         for i in range(tr.n_systems):
             got = [(r.time, r.event_ids) for r in mine.per_system[i]]
@@ -258,7 +223,7 @@ def test_trigger_ratio_below_theta_until_crossing():
     cost = LogCost()
     for _ in range(20):
         tr, _ = feasible_instance(rng, m_max=7)
-        s = run_thb(tr, ThresholdPolicy(theta), 1, 0.5, cost, LINEAR)
+        s = run_thb(tr, ThresholdPolicy(theta), 1, cost)
         for i in range(tr.n_systems):
             prev = -math.inf
             mine = [j for j in tr.event_ids if tr.weight(i, j) > 0]
@@ -267,8 +232,8 @@ def test_trigger_ratio_below_theta_until_crossing():
                     j for j in mine if prev < tr.time_of(j) <= rep.time
                 ]
                 assert tuple(pend) == rep.event_ids
-                com = accumulate_com(tr, i, pend, cost)
-                lat_fire = accumulate_lat(tr, i, prev, rep.time, pend, LINEAR)
+                com = oracles.accumulate_com(tr, i, pend, cost)
+                lat_fire = oracles.accumulate_lat(tr, i, rep.time, pend)
                 # exact crossing at the report instant
                 assert lat_fire / com == pytest.approx(theta, rel=1e-9)
                 # strictly below shortly before it
@@ -277,10 +242,8 @@ def test_trigger_ratio_below_theta_until_crossing():
                     j for j in mine if prev < tr.time_of(j) <= t_probe
                 ]
                 if probe_pend:
-                    lat_probe = accumulate_lat(
-                        tr, i, prev, t_probe, probe_pend, LINEAR
-                    )
-                    com_probe = accumulate_com(tr, i, probe_pend, cost)
+                    lat_probe = oracles.accumulate_lat(tr, i, t_probe, probe_pend)
+                    com_probe = oracles.accumulate_com(tr, i, probe_pend, cost)
                     assert lat_probe / com_probe < theta
                 prev = rep.time
 
@@ -290,8 +253,8 @@ def test_report_times_strictly_increase():
     for _ in range(30):
         tr, k = feasible_instance(rng)
         for sched in (
-            run_thb(tr, ThresholdPolicy(0.4), k, 0.5, UnityCost(), LINEAR),
-            run_itc(tr, ThresholdPolicy(0.4), k, 0.5, UnityCost(), LINEAR),
+            run_thb(tr, ThresholdPolicy(0.4), k, UnityCost()),
+            run_itc(tr, ThresholdPolicy(0.4), k, UnityCost()),
         ):
             sched.validate(tr)  # includes strict per-system time increase
 
@@ -300,13 +263,13 @@ def test_scale_property_unity_cost():
     rng = np.random.default_rng(59)
     tr, _ = feasible_instance(rng, m_max=8)
     theta = 0.37
-    base = run_thb(tr, ThresholdPolicy(theta), 1, 0.5, UnityCost(), LINEAR)
+    base = run_thb(tr, ThresholdPolicy(theta), 1, UnityCost())
     # power-of-two scaling is exact in floating point
     tr4 = tr.with_weights(np.asarray(tr.weights) * 4.0)
-    s4 = run_thb(tr4, ThresholdPolicy(theta * 4.0), 1, 0.5, UnityCost(), LINEAR)
+    s4 = run_thb(tr4, ThresholdPolicy(theta * 4.0), 1, UnityCost())
     assert s4 == base
     tr3 = tr.with_weights(np.asarray(tr.weights) * 3.0)
-    s3 = run_thb(tr3, ThresholdPolicy(theta * 3.0), 1, 0.5, UnityCost(), LINEAR)
+    s3 = run_thb(tr3, ThresholdPolicy(theta * 3.0), 1, UnityCost())
     for a, b in zip(base.per_system, s3.per_system):
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
@@ -319,7 +282,7 @@ def test_scale_property_unity_cost():
 
 def test_itc_single_report_when_all_observe_the_same():
     tr = EventTrace([0.0], np.ones((1, 4)))
-    s = run_itc(tr, ThresholdPolicy(1.0), 1, 0.5, UnityCost(), LINEAR)
+    s = run_itc(tr, ThresholdPolicy(1.0), 1, UnityCost())
     assert [len(r) for r in s.per_system] == [1, 0, 0, 0]
     assert s.per_system[0][0].time == 1.0
 
@@ -327,7 +290,7 @@ def test_itc_single_report_when_all_observe_the_same():
 def test_itc_priority_selects_the_reporter():
     tr = EventTrace([0.0], np.ones((1, 3)))
     pol = ThresholdPolicy(1.0)
-    s = run_itc(tr, pol, 1, 0.5, UnityCost(), LINEAR, priority=(2, 0, 1))
+    s = run_itc(tr, pol, 1, UnityCost(), priority=(2, 0, 1))
     assert [len(r) for r in s.per_system] == [0, 0, 1]
 
 
@@ -337,14 +300,14 @@ def test_itc_single_event_law():
     t_e, theta, rho = 3.0, 0.7, 0.4
     w = [0.3, 0.9, 0.5, 0.2]
     tr = EventTrace([t_e], [w])
-    s = run_itc(tr, ThresholdPolicy(theta), 1, rho, UnityCost(), LINEAR)
+    s = run_itc(tr, ThresholdPolicy(theta), 1, UnityCost())
     assert [len(r) for r in s.per_system] == [0, 1, 0, 0]
     top = max(w)
     rep = s.per_system[1][0]
     assert rep.event_ids == (0,)
     assert rep.time == pytest.approx(t_e + theta / top, abs=1e-12)
-    total = evaluate(s, tr, 1, rho, UnityCost(), LINEAR).total
-    opt = offline_lb(tr, 1, rho, UnityCost(), LINEAR).value
+    total = evaluate(s, tr, 1, rho, UnityCost()).total
+    opt = offline_lb(tr, 1, rho, UnityCost()).value
     law = 1.0 + (1.0 - rho) * theta * sum(w) / (rho * top)
     assert total / opt == pytest.approx(law, abs=1e-12)
 
@@ -355,14 +318,12 @@ def test_itc_equals_thb_for_single_system_and_k_equals_n():
         tr, _ = feasible_instance(rng)
         pol = ThresholdPolicy(float(rng.uniform(0.1, 1.5)))
         n = tr.n_systems
-        assert run_itc(tr, pol, n, 0.5, UnityCost(), LINEAR) == run_thb(
-            tr, pol, n, 0.5, UnityCost(), LINEAR
-        )
+        assert run_itc(tr, pol, n, UnityCost()) == run_thb(
+            tr, pol, n, UnityCost())
     one = EventTrace([0.0, 0.9], [[1.0], [0.4]])
     pol = ThresholdPolicy(0.8)
-    assert run_itc(one, pol, 1, 0.5, LogCost(), LINEAR) == run_thb(
-        one, pol, 1, 0.5, LogCost(), LINEAR
-    )
+    assert run_itc(one, pol, 1, LogCost()) == run_thb(
+        one, pol, 1, LogCost())
 
 
 def test_net_equals_itc_on_complete_graph():
@@ -371,9 +332,9 @@ def test_net_equals_itc_on_complete_graph():
         tr, k = feasible_instance(rng)
         pol = ThresholdPolicy(float(rng.uniform(0.1, 1.5)))
         cost = [UnityCost(), LogCost()][int(rng.integers(2))]
-        itc = run_itc(tr, pol, k, 0.5, cost, LINEAR)
+        itc = run_itc(tr, pol, k, cost)
         net = run_net(
-            tr, pol, k, 0.5, cost, LINEAR, CommGraph.complete(tr.n_systems)
+            tr, pol, k, cost, CommGraph.complete(tr.n_systems)
         )
         assert itc == net
 
@@ -383,9 +344,9 @@ def test_net_equals_thb_on_empty_graph():
     for _ in range(40):
         tr, k = feasible_instance(rng)
         pol = ThresholdPolicy(float(rng.uniform(0.1, 1.5)))
-        thb = run_thb(tr, pol, k, 0.5, LogCost(), LINEAR)
+        thb = run_thb(tr, pol, k, LogCost())
         net = run_net(
-            tr, pol, k, 0.5, LogCost(), LINEAR, CommGraph.empty(tr.n_systems)
+            tr, pol, k, LogCost(), CommGraph.empty(tr.n_systems)
         )
         assert thb == net
 
@@ -397,7 +358,7 @@ def test_same_instant_cascade_after_removal():
     tr = EventTrace([0.0, 2.5], [[0.0, 0.12], [5.0, 5.0]])
     pol = ThresholdPolicy((0.2, 0.4))
     cost = LogCost()
-    s = run_itc(tr, pol, 1, 0.5, cost, LINEAR)
+    s = run_itc(tr, pol, 1, cost)
     t0 = oracles.crossing_time_bisect(
         [(5.0, 2.5)], 0.2 * cost.of_total(5.0), 2.5
     )
@@ -407,7 +368,7 @@ def test_same_instant_cascade_after_removal():
     assert s.per_system[1][0].time == s.per_system[0][0].time
     assert s.per_system[1][0].event_ids == (0,)
     # without intercommunication sys1 fires later, with both events
-    thb = run_thb(tr, pol, 1, 0.5, cost, LINEAR)
+    thb = run_thb(tr, pol, 1, cost)
     assert thb.per_system[1][0].time > s.per_system[1][0].time
     assert thb.per_system[1][0].event_ids == (0, 1)
 
@@ -419,15 +380,15 @@ def test_forward_role_relays_and_suppresses():
     g = CommGraph.from_edges(3, [(0, 1), (1, 2)]).with_roles(
         [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD]
     )
-    s = run_net(tr, ThresholdPolicy(1.0), 1, 0.5, UnityCost(), LINEAR, g)
+    s = run_net(tr, ThresholdPolicy(1.0), 1, UnityCost(), g)
     assert s.per_system[0][0].event_ids == (0,)
     assert s.per_system[1][0].forwarded_ids == (0,)
     assert s.per_system[2] == ()
-    out = evaluate(s, tr, 1, 0.5, UnityCost(), LINEAR)
+    out = evaluate(s, tr, 1, 0.5, UnityCost())
     assert out.feasible
     # withholding roles do not relay: sys2 must then report on its own
     gw = g.with_roles([Role.WITHHOLD] * 3)
-    sw = run_net(tr, ThresholdPolicy(1.0), 1, 0.5, UnityCost(), LINEAR, gw)
+    sw = run_net(tr, ThresholdPolicy(1.0), 1, UnityCost(), gw)
     assert len(sw.per_system[2]) == 1
 
 
@@ -438,9 +399,9 @@ def test_three_node_path_single_event_coverage():
     g = CommGraph.from_edges(3, [(0, 1), (1, 2)]).with_roles(
         [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD]
     )
-    s = run_net(tr, ThresholdPolicy(1.0), 1, 0.5, UnityCost(), LINEAR, g)
+    s = run_net(tr, ThresholdPolicy(1.0), 1, UnityCost(), g)
     assert s.total_reports() == 2
-    assert evaluate(s, tr, 1, 0.5, UnityCost(), LINEAR).feasible
+    assert evaluate(s, tr, 1, 0.5, UnityCost()).feasible
 
 
 def test_forward_node_reforwards_only_grown_rows():
@@ -463,7 +424,7 @@ def test_forward_node_reforwards_only_grown_rows():
         [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD, Role.WITHHOLD]
     )
     pol = ThresholdPolicy((1.0, 0.8, 2.0, 10.0))
-    s = run_net(tr, pol, 2, 0.5, UnityCost(), LINEAR, g)
+    s = run_net(tr, pol, 2, UnityCost(), g)
     assert s.per_system[0] == (Report(0.55, (0, 1)),)
     assert s.per_system[2] == (Report(2.0, (0,)),)
     first, second = s.per_system[1]
@@ -471,7 +432,7 @@ def test_forward_node_reforwards_only_grown_rows():
     assert (first.event_ids, first.forwarded_ids) == ((2,), (0, 1))
     assert (second.event_ids, second.forwarded_ids) == ((3,), (0, 2))
     assert s.per_system[3] == ()
-    assert s == oracles.full_scan_net(tr, pol, 2, UnityCost(), LINEAR, g)
+    assert s == oracles.full_scan_net(tr, pol, 2, UnityCost(), g)
 
 
 def test_forwarded_rows_are_removed_in_first_seen_order():
@@ -492,7 +453,7 @@ def test_forwarded_rows_are_removed_in_first_seen_order():
         [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD, Role.WITHHOLD]
     )
     pol = ThresholdPolicy((0.2, 1.0, 4.0, 0.5))
-    s = run_net(tr, pol, 1, 0.5, UnityCost(), LINEAR, g)
+    s = run_net(tr, pol, 1, UnityCost(), g)
     assert s.per_system[1] == (Report(1.0, (0,), (1, 2)),)
     acc_w = 0.1 + 0.2 + 0.1
     acc_wt = 0.1 * 0.1 + 0.2 * 0.2 + 0.1 * 0.3
@@ -500,7 +461,7 @@ def test_forwarded_rows_are_removed_in_first_seen_order():
     by_row = (4.0 + ((acc_wt - 0.1 * 0.1) - 0.2 * 0.2)) / ((acc_w - 0.1) - 0.2)
     assert heard != by_row
     assert s.per_system[2] == (Report(heard, (3,)),)
-    assert s == oracles.full_scan_net(tr, pol, 1, UnityCost(), LINEAR, g)
+    assert s == oracles.full_scan_net(tr, pol, 1, UnityCost(), g)
 
 
 @st.composite
@@ -533,34 +494,12 @@ def net_instances(draw):
 @given(net_instances())
 def test_net_matches_full_scan_reference(inst):
     tr, g, pol, k, cost = inst
-    got = run_net(tr, pol, k, 0.5, cost, LINEAR, g)
-    want = oracles.full_scan_net(tr, pol, k, cost, LINEAR, g)
+    got = run_net(tr, pol, k, cost, g)
+    want = oracles.full_scan_net(tr, pol, k, cost, g)
     assert got == want
     assert [r.time.hex() for rs in got.per_system for r in rs] == [
         r.time.hex() for rs in want.per_system for r in rs
     ]
-
-
-def test_heterogeneous_threshold_shifts_crossings():
-    # shift of each crossing is epsilon * com^2 / weight to first order
-    tr = EventTrace([0.0], [[2.0, 1.0]])
-    cost = LogCost()
-    eps = 1e-3
-    plain = run_thb(tr, ThresholdPolicy(1.0), 1, 0.5, cost, LINEAR)
-    het = run_thb(
-        tr,
-        ThresholdPolicy(1.0, heterogeneous=True, epsilon=eps),
-        1,
-        0.5,
-        cost,
-        LINEAR,
-    )
-    for i, w in enumerate([2.0, 1.0]):
-        t_plain = plain.per_system[i][0].time
-        t_het = het.per_system[i][0].time
-        com = cost.of_total(w)
-        assert t_het > t_plain
-        assert t_het - t_plain == pytest.approx(eps * com * com / w, rel=1e-9)
 
 
 def test_determinism_repeated_runs():
@@ -572,11 +511,28 @@ def test_determinism_repeated_runs():
         [(i, i + 1) for i in range(tr.n_systems - 1)],
     )
     for fn in (
-        lambda: run_thb(tr, pol, k, 0.5, LogCost(), LINEAR),
-        lambda: run_itc(tr, pol, k, 0.5, LogCost(), LINEAR),
-        lambda: run_net(tr, pol, k, 0.5, LogCost(), LINEAR, g),
+        lambda: run_thb(tr, pol, k, LogCost()),
+        lambda: run_itc(tr, pol, k, LogCost()),
+        lambda: run_net(tr, pol, k, LogCost(), g),
     ):
         assert fn() == fn()
+
+
+def test_engine_is_freed_without_the_cycle_collector():
+    # a finished engine must not outlive its run: graph-mode tables are
+    # large, and waiting for the cycle collector raises peak memory
+    tr = EventTrace([0.0, 1.0], [[1.0, 1.0], [1.0, 0.5]])
+    g = CommGraph.complete(2).with_roles([Role.FORWARD, Role.WITHHOLD])
+    gc.disable()
+    try:
+        for sharing in ({}, {"full": True}, {"graph": g}):
+            engine = _Engine(tr, ThresholdPolicy(0.5), 1, UnityCost(), **sharing)
+            engine.run()
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None, sharing
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------- ratio bound invariant
@@ -589,20 +545,20 @@ def test_ratio_bounds_against_oracle_k1():
     for _ in range(25):
         tr, _ = feasible_instance(rng, n_max=5, m_max=15, k=1)
         n = tr.n_systems
-        lb = offline_lb(tr, k, rho, UnityCost(), LINEAR).value
+        lb = offline_lb(tr, k, rho, UnityCost()).value
         assert lb > 0
 
         pol = ThresholdPolicy(threshold_none(n, k, 1.0, rho))
         cost = evaluate(
-            run_thb(tr, pol, k, rho, UnityCost(), LINEAR),
-            tr, k, rho, UnityCost(), LINEAR,
+            run_thb(tr, pol, k, UnityCost()),
+            tr, k, rho, UnityCost(),
         ).total
         assert cost / lb <= ratio_none(n, k, 1.0) + 1e-6
 
         pol = ThresholdPolicy(threshold_full(n, k, 1.0, rho))
         cost = evaluate(
-            run_itc(tr, pol, k, rho, UnityCost(), LINEAR),
-            tr, k, rho, UnityCost(), LINEAR,
+            run_itc(tr, pol, k, UnityCost()),
+            tr, k, rho, UnityCost(),
         ).total
         assert cost / lb <= ratio_full(n, k, 1.0) + 1e-6
 
@@ -610,8 +566,8 @@ def test_ratio_bounds_against_oracle_k1():
         x = compute_x(g).value
         pol = ThresholdPolicy(threshold_partial(n, k, 1.0, x, rho))
         cost = evaluate(
-            run_net(tr, pol, k, rho, UnityCost(), LINEAR, g),
-            tr, k, rho, UnityCost(), LINEAR,
+            run_net(tr, pol, k, UnityCost(), g),
+            tr, k, rho, UnityCost(),
         ).total
         assert cost / lb <= ratio_partial(n, k, 1.0, x) + 1e-6
 
@@ -628,10 +584,10 @@ def test_k2_per_trace_ratio_is_unbounded():
         tr = EventTrace([0.0], [[eps, 1.0]])
         pol = ThresholdPolicy(threshold_none(2, k, 1.0, rho))
         out = evaluate(
-            run_thb(tr, pol, k, rho, UnityCost(), LINEAR),
-            tr, k, rho, UnityCost(), LINEAR,
+            run_thb(tr, pol, k, UnityCost()),
+            tr, k, rho, UnityCost(),
         )
-        lb = offline_lb(tr, k, rho, UnityCost(), LINEAR).value
+        lb = offline_lb(tr, k, rho, UnityCost()).value
         ratios.append(out.total / lb)
     assert all(r > bound for r in ratios)
     assert ratios == sorted(ratios)  # grows as eps shrinks
@@ -645,9 +601,9 @@ def test_all_algorithms_feasible_on_feasible_traces():
         pol = ThresholdPolicy(0.5)
         g = CommGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
         for sched in (
-            run_thb(tr, pol, k, 0.5, LogCost(), LINEAR),
-            run_itc(tr, pol, k, 0.5, LogCost(), LINEAR),
-            run_net(tr, pol, k, 0.5, LogCost(), LINEAR, g),
+            run_thb(tr, pol, k, LogCost()),
+            run_itc(tr, pol, k, LogCost()),
+            run_net(tr, pol, k, LogCost(), g),
         ):
-            out = evaluate(sched, tr, k, 0.5, LogCost(), LINEAR)
+            out = evaluate(sched, tr, k, 0.5, LogCost())
             assert out.feasible

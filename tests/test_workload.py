@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from aggsim.model import LINEAR, UnityCost, ValidationError, evaluate
+from aggsim.model import UnityCost, ValidationError, evaluate
 from aggsim.offline import offline_lb
 from aggsim.online import ThresholdPolicy, run_itc, run_thb
 from aggsim.workload import (
@@ -19,7 +19,6 @@ from aggsim.workload import (
     SmallEvents,
     WeibullArrivals,
     WorkloadSpec,
-    gen_sigma1,
     gen_sigma2,
     gen_thm6_instance,
     gen_trace,
@@ -140,22 +139,16 @@ def test_two_event_instance_oracle_value():
     # with unit thresholds summing to 1, the oracle settles at exactly 1:
     # two immediate reports cost rho*2, beating one late report
     tr = gen_thm6_instance(4, [0.25] * 4, 1.0, 1e-6)
-    val = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR).value
+    val = offline_lb(tr, 1, 0.5, UnityCost()).value
     assert val == pytest.approx(1.0, abs=1e-5)
 
 
 def test_two_event_instance_online_cost():
     n = 4
     tr = gen_thm6_instance(n, [1.0 / n] * n, 1.0, 1e-6)
-    s = run_thb(tr, ThresholdPolicy((1.0 / n,) * n), 1, 0.5, UnityCost(), LINEAR)
-    cost = evaluate(s, tr, 1, 0.5, UnityCost(), LINEAR).total
+    s = run_thb(tr, ThresholdPolicy((1.0 / n,) * n), 1, UnityCost())
+    cost = evaluate(s, tr, 1, 0.5, UnityCost()).total
     assert cost >= (2 * (n - 1) + 2 + 1) / 2.0
-
-
-def test_sigma1_is_uniform_cost_variant():
-    assert gen_sigma1(3, [0.1, 0.2, 0.3], 0.01) == gen_thm6_instance(
-        3, [0.1, 0.2, 0.3], 1.0, 0.01
-    )
 
 
 def test_sigma2_instantiation():
@@ -175,7 +168,7 @@ def test_sigma2_instantiation():
 def test_sigma2_oracle_at_most_one():
     for n in (16, 64, 256):
         tr = gen_sigma2(n)
-        assert offline_lb(tr, 1, 0.5, UnityCost(), LINEAR).value <= 1.0
+        assert offline_lb(tr, 1, 0.5, UnityCost()).value <= 1.0
 
 
 def test_sigma2_forces_one_report_per_event():
@@ -184,10 +177,10 @@ def test_sigma2_forces_one_report_per_event():
     for n in (16, 64):
         tr = gen_sigma2(n)
         theta = 1.0 / (2.0 * math.sqrt(n))
-        s = run_itc(tr, ThresholdPolicy(theta), 1, 0.5, UnityCost(), LINEAR)
+        s = run_itc(tr, ThresholdPolicy(theta), 1, UnityCost())
         assert s.total_reports() == tr.n_events
-        cost = evaluate(s, tr, 1, 0.5, UnityCost(), LINEAR).total
-        lb = offline_lb(tr, 1, 0.5, UnityCost(), LINEAR).value
+        cost = evaluate(s, tr, 1, 0.5, UnityCost()).total
+        lb = offline_lb(tr, 1, 0.5, UnityCost()).value
         assert cost / lb >= math.sqrt(n) / 4.0
 
 
@@ -227,9 +220,9 @@ def test_perturbation_lowers_adversarial_ratio():
     base = gen_thm6_instance(n, thetas, 1.0, 1e-6)
 
     def ratio(tr):
-        s = run_thb(tr, pol, 1, 0.5, UnityCost(), LINEAR)
-        cost = evaluate(s, tr, 1, 0.5, UnityCost(), LINEAR).total
-        return cost / offline_lb(tr, 1, 0.5, UnityCost(), LINEAR).value
+        s = run_thb(tr, pol, 1, UnityCost())
+        cost = evaluate(s, tr, 1, 0.5, UnityCost()).total
+        return cost / offline_lb(tr, 1, 0.5, UnityCost()).value
 
     plain = ratio(base)
     perturbed = [ratio(perturb(base, 0.1, seed=s)) for s in range(20)]
