@@ -58,7 +58,6 @@ class CommGraph:
     n: int
     edges: frozenset[tuple[int, int]]
     roles: tuple[Role, ...] = ()
-    positions: tuple[tuple[float, float], ...] | None = None
     _adj: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
@@ -81,8 +80,6 @@ class CommGraph:
                 f"roles length {len(roles)} does not match n={self.n}"
             )
         object.__setattr__(self, "roles", tuple(roles))
-        if self.positions is not None and len(self.positions) != self.n:
-            raise ValidationError("positions length must match n")
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for a, b in sorted(norm):
             adj[a].append(b)
@@ -118,7 +115,7 @@ class CommGraph:
         return 2.0 * len(self.edges) / self.n
 
     def with_roles(self, roles: Sequence[Role]) -> "CommGraph":
-        return CommGraph(self.n, self.edges, tuple(roles), self.positions)
+        return CommGraph(self.n, self.edges, tuple(roles))
 
     def forward_nodes(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.roles[i] is Role.FORWARD)
@@ -137,8 +134,8 @@ class CommGraph:
         return len(seen) == self.n
 
     # Text format: `n` header, one `i j` line per edge (sorted), then an
-    # optional `roles` section (one line of F/W characters, one per node)
-    # and an optional `positions` section with one `x y` line per node.
+    # optional `roles` section (one line of F/W characters, one per node).
+    # Reading stops at a `positions` line, which older files may carry.
     def to_text(self) -> str:
         lines = [str(self.n)]
         lines.extend(f"{a} {b}" for a, b in sorted(self.edges))
@@ -147,9 +144,6 @@ class CommGraph:
             lines.append(
                 "".join("F" if r is Role.FORWARD else "W" for r in self.roles)
             )
-        if self.positions is not None:
-            lines.append("positions")
-            lines.extend(f"{repr(x)} {repr(y)}" for x, y in self.positions)
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -167,24 +161,30 @@ class CommGraph:
             raise GraphFormatError(
                 "header must be the node count", line=1
             ) from None
+        if n < 1:
+            raise GraphFormatError(
+                f"graph needs at least one node, got {n}", line=1
+            )
         edges = []
-        roles: tuple[Role, ...] = ()
-        positions: list[tuple[float, float]] | None = None
-        lineno = 1
-        section = "edges"
+        roles: tuple[Role, ...] | None = None
+        roles_line = None
         for lineno, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line:
                 continue
-            if line == "roles":
-                section = "roles"
-                continue
             if line == "positions":
-                section = "positions"
-                positions = []
+                break
+            if line == "roles":
+                if roles_line is not None:
+                    raise GraphFormatError("second roles section", line=lineno)
+                roles_line = lineno
                 continue
             parts = line.split()
-            if section == "roles":
+            if roles_line is not None:
+                if roles is not None:
+                    raise GraphFormatError(
+                        "extra line after the roles row", line=lineno
+                    )
                 if len(line) != n or set(line) - {"F", "W"}:
                     raise GraphFormatError(
                         f"roles line must be {n} F/W characters", line=lineno
@@ -192,17 +192,6 @@ class CommGraph:
                 roles = tuple(
                     Role.FORWARD if c == "F" else Role.WITHHOLD for c in line
                 )
-            elif section == "positions":
-                if len(parts) != 2:
-                    raise GraphFormatError(
-                        "position line must be `x y`", line=lineno
-                    )
-                try:
-                    positions.append((float(parts[0]), float(parts[1])))
-                except ValueError:
-                    raise GraphFormatError(
-                        f"bad position {line!r}", line=lineno
-                    ) from None
             else:
                 if len(parts) != 2:
                     raise GraphFormatError(
@@ -223,15 +212,9 @@ class CommGraph:
                         f"self-loop at node {a}", line=lineno
                     )
                 edges.append((a, b))
-        try:
-            return cls(
-                n,
-                frozenset(edges),
-                roles,
-                positions=tuple(positions) if positions is not None else None,
-            )
-        except ValidationError as exc:
-            raise GraphFormatError(str(exc)) from None
+        if roles_line is not None and roles is None:
+            raise GraphFormatError("roles line has no roles row", line=roles_line)
+        return cls(n, frozenset(edges), roles or ())
 
     @classmethod
     def load(cls, path: str) -> "CommGraph":
@@ -253,10 +236,9 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
         raise ValidationError(
             f"target average degree {target_avg_degree} must be < n = {n}"
         )
-    rng = np.random.default_rng(seed)
     if n == 1:
-        pt = rng.uniform(size=2)
-        return CommGraph(1, frozenset(), positions=((float(pt[0]), float(pt[1])),))
+        return CommGraph.empty(1)
+    rng = np.random.default_rng(seed)
 
     for _ in range(60):
         pts = rng.uniform(size=(n, 2))
@@ -277,11 +259,7 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
         if abs(avg - target_avg_degree) > 1.0:
             continue
         ii, jj = np.nonzero(np.triu(within, k=1))
-        g = CommGraph(
-            n,
-            frozenset(zip(ii.tolist(), jj.tolist())),
-            positions=tuple((float(x), float(y)) for x, y in pts),
-        )
+        g = CommGraph(n, frozenset(zip(ii.tolist(), jj.tolist())))
         if g.is_connected():
             return g
     raise GenerationError(
@@ -290,17 +268,16 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
     )
 
 
-def greedy_mis(g: CommGraph) -> frozenset[int]:
-    """Maximal independent set, greedily taking the minimum-degree node.
-
-    Degrees are recomputed on the shrinking residual graph; ties break to
-    the lowest node index. The result is independent and maximal.
-    """
+def _greedy_mis(g: CommGraph, high_first: bool) -> frozenset[int]:
+    """Maximal independent set, greedily taking the node of minimum (or,
+    with `high_first`, maximum) degree in the shrinking residual graph;
+    ties break to the lowest node index."""
+    sign = -1 if high_first else 1
     alive = set(range(g.n))
     deg = {v: g.degree(v) for v in alive}
     chosen: set[int] = set()
     while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
+        v = min(alive, key=lambda u: (sign * deg[u], u))
         chosen.add(v)
         removed = {v} | (set(g.neighbors(v)) & alive)
         alive -= removed
@@ -311,21 +288,9 @@ def greedy_mis(g: CommGraph) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _greedy_mis_max_degree(g: CommGraph, nodes: set[int]) -> list[int]:
-    """Maximal independent set over `nodes`, taking max residual degree first."""
-    alive = set(nodes)
-    deg = {v: len(set(g.neighbors(v)) & alive) for v in alive}
-    chosen: list[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (-deg[u], u))
-        chosen.append(v)
-        removed = {v} | (set(g.neighbors(v)) & alive)
-        alive -= removed
-        for u in removed:
-            for w in g.neighbors(u):
-                if w in alive:
-                    deg[w] -= 1
-    return chosen
+def greedy_mis(g: CommGraph) -> frozenset[int]:
+    """Maximal independent set, greedily taking the minimum-degree node."""
+    return _greedy_mis(g, high_first=False)
 
 
 def greedy_cds(g: CommGraph) -> frozenset[int]:
@@ -341,8 +306,7 @@ def greedy_cds(g: CommGraph) -> frozenset[int]:
         raise ValidationError("connected dominating set needs a connected graph")
     if g.n == 1:
         return frozenset({0})
-    seed = _greedy_mis_max_degree(g, set(range(g.n)))
-    cds = set(seed)
+    cds = set(_greedy_mis(g, high_first=True))
 
     def component_of(v: int, members: set[int]) -> set[int]:
         comp = {v}

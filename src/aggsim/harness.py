@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import numbers
 import os
 import statistics
 import time
@@ -60,6 +61,10 @@ class ConfigError(ValidationError):
     """Raised on a malformed scenario configuration."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario_code: str
@@ -91,18 +96,20 @@ class ScenarioConfig:
         for name in ("n_values", "k_values", "rho_values", "theta_values"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-        if any(n < 1 for n in self.n_values):
-            raise ConfigError("N values must be >= 1")
-        if any(k < 1 for k in self.k_values):
-            raise ConfigError("K values must be >= 1")
+        if any(not _is_int(n) or n < 1 for n in self.n_values):
+            raise ConfigError("N values must be integers >= 1")
+        if any(not _is_int(k) or k < 1 for k in self.k_values):
+            raise ConfigError("K values must be integers >= 1")
         if any(not 0.0 < r < 1.0 for r in self.rho_values):
             raise ConfigError("rho values must lie in (0, 1)")
         if any(t is not None and t <= 0 for t in self.theta_values):
             raise ConfigError("theta overrides must be positive")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.n_events < 1:
-            raise ConfigError("n_events must be >= 1")
+        if not _is_int(self.runs) or self.runs < 1:
+            raise ConfigError("runs must be an integer >= 1")
+        if not _is_int(self.n_events) or self.n_events < 1:
+            raise ConfigError("n_events must be an integer >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be an integer >= 0")
         if not 0.0 <= self.perturb_pct <= 1.0:
             raise ConfigError("perturb_pct must be in [0, 1]")
         if self.avg_degree < 0:
@@ -251,13 +258,9 @@ def _run_rep(
 
     if code == "ADV2":
         cost_fn: CommCost = UnityCost()
-        thetas = np.full(n, 1.0 / n)
-        trace = gen_thm6_instance(n, thetas, 1.0, 1e-6)
+        trace = gen_thm6_instance(n, np.full(n, 1.0 / n), 1.0, 1e-6)
         trace = perturb(trace, cfg.perturb_pct, trace_seed)
         theta = theta_override if theta_override is not None else 1.0 / n
-        policy = ThresholdPolicy(
-            theta if theta_override is not None else tuple(thetas)
-        )
         graph = None
     else:
         cost_fn = _COSTS[code[2]]()
@@ -280,7 +283,7 @@ def _run_rep(
             if theta_override is not None
             else _default_theta(cfg.mode, n, k, alpha, rho, x)
         )
-        policy = ThresholdPolicy(theta)
+    policy = ThresholdPolicy(theta)
 
     t0 = time.perf_counter()
     if cfg.mode == "none":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -243,17 +243,12 @@ class CommCost:
 
     All variants in scope depend on the set only through the sum of its
     weights, are positive, non-decreasing, and subadditive. An empty set
-    costs the value at total weight zero, the variant's minimum.
+    costs the value at total weight zero, the variant's minimum. Each
+    variant also provides `of_total_array`, the same map over an array.
     """
-
-    name: str = "abstract"
 
     def of_total(self, total_weight: float) -> float:
         raise NotImplementedError
-
-    def of_total_array(self, totals: np.ndarray) -> np.ndarray:
-        """Vectorized of_total; subclasses override for speed."""
-        return np.array([self.of_total(float(s)) for s in totals])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -261,8 +256,6 @@ class CommCost:
 
 class UnityCost(CommCost):
     """Every report costs exactly 1 regardless of content."""
-
-    name = "unity"
 
     def of_total(self, total_weight: float) -> float:
         return 1.0
@@ -276,7 +269,6 @@ class LogCost(CommCost):
     """cost = log(offset + total weight); offset >= 2 keeps cost >= log 2."""
 
     offset: float = 2.0
-    name: str = field(default="log", init=False)
 
     def __post_init__(self):
         if self.offset < 2.0:

@@ -4,49 +4,33 @@ Computes the best cost over all partitions of the event stream into
 consecutive segments, where each segment is closed by a report at its last
 event's appearance time and charged K times the cheapest single system's
 report for the segment. The result lower-bounds the cost of every feasible
-schedule. For K=1 a schedule realizing the value is reconstructed; it is
-deliverable as written whenever each segment's chosen system observed the
-whole segment, which always holds for all-positive weight matrices.
+schedule, and equals the optimum for K=1. The oracle returns the value and
+its DP table; a sweep needs only the value.
 
 Used as the denominator of every empirical ratio in the benchmark harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
-from aggsim.model import (
-    CommCost,
-    EventTrace,
-    Report,
-    ReportSchedule,
-    UnityCost,
-    ValidationError,
-)
+from aggsim.model import CommCost, EventTrace, UnityCost, ValidationError
 
-__all__ = ["DpTable", "OfflineResult", "offline_lb"]
+__all__ = ["OfflineResult", "offline_lb"]
 
 
-@dataclass(frozen=True)
-class DpTable:
-    """Prefix optima and the segment choices that achieved them.
+class OfflineResult(NamedTuple):
+    """The optimal value and the filled table.
 
     cost_min[j] is the best cost over the first j events; choice[j] is the
     length of the final segment in one optimal partition of that prefix.
     """
 
+    value: float
     cost_min: np.ndarray
     choice: np.ndarray
-
-
-@dataclass(frozen=True)
-class OfflineResult:
-    value: float
-    schedule: ReportSchedule | None
-    table: DpTable
 
 
 def offline_lb(
@@ -57,8 +41,7 @@ def offline_lb(
 ) -> OfflineResult:
     """Best segment-partition cost; exact for K=1, a lower bound for K>1.
 
-    Returns the optimal value, a reconstructed schedule when K=1 (None
-    otherwise), and the filled table.
+    Returns the optimal value and the filled table; no schedule is built.
 
     cost_min[j] is the minimum over starts a < j of
     cand(a, j) = rho*K*com(a, j) + (1-rho)*lat(a, j) + cost_min[a], where
@@ -86,7 +69,7 @@ def offline_lb(
     |cost_min| <= (m+1)*rho*K*c_max. The bound uses three cands, about
     41u*(T*S + (m+1)*rho*K*c_max) in all, so a dropped start also loses in
     computed values. The window's cand values are the full scan's bit for
-    bit, and so are cost_min, choice, the value and the schedule.
+    bit, and so are cost_min, choice and the value.
     """
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
@@ -95,9 +78,7 @@ def offline_lb(
     if not 1 <= k <= n:
         raise ValidationError(f"K must be in [1, {n}], got {k}")
     if m == 0:
-        empty = ReportSchedule(tuple(() for _ in range(n)))
-        table = DpTable(np.zeros(1), np.zeros(1, dtype=np.int64))
-        return OfflineResult(0.0, empty, table)
+        return OfflineResult(0.0, np.zeros(1), np.zeros(1, dtype=np.int64))
     trace.check_k_feasible(k)
 
     times = trace.times
@@ -140,50 +121,4 @@ def offline_lb(
         cost_min[j] = cand[a_best - lo]
         choice[j] = j - a_best
 
-    table = DpTable(cost_min, choice)
-    value = float(cost_min[m])
-
-    if k > 1:
-        return OfflineResult(value, None, table)
-
-    # K=1 reconstruction: walk segment lengths back, report each segment at
-    # its closing event time from the cheapest observing system. Events the
-    # chosen system did not observe ride along as forwarded identifiers so
-    # the schedule passes validation; they carry no weight and for K=1 the
-    # originated portion alone delivers every event.
-    segments: list[tuple[int, int]] = []
-    j = m
-    while j > 0:
-        length = int(choice[j])
-        segments.append((j - length, j))
-        j -= length
-    segments.reverse()
-
-    per_system: list[list[Report]] = [[] for _ in range(n)]
-    for a, b in segments:
-        seg_w = weights[a:b]
-        seg_tot = seg_w.sum(axis=0)
-        costs = cost_fn.of_total_array(seg_tot)
-        # Among systems tied for the cheapest segment report, prefer one
-        # that observed every event in the segment (keeps the schedule
-        # deliverable); lowest index breaks remaining ties.
-        seen = seg_w > 0
-        tied = costs <= costs.min()
-        full_cover = np.flatnonzero(tied & seen.all(axis=0))
-        i_star = int(full_cover[0]) if full_cover.size else int(np.argmax(tied))
-        obs = seen[:, i_star].tolist()
-        if not any(obs):
-            # chosen system saw nothing in the segment; fall back to any
-            # observer of the segment's events (exists by 1-feasibility)
-            i_star = int(np.argmax(seg_tot > 0))
-            obs = seen[:, i_star].tolist()
-        ids = trace.event_ids[a:b]
-        per_system[i_star].append(
-            Report(
-                float(times[b - 1]),
-                tuple(compress(ids, obs)),
-                tuple(e for e, o in zip(ids, obs) if not o),
-            )
-        )
-    schedule = ReportSchedule(tuple(tuple(r) for r in per_system))
-    return OfflineResult(value, schedule, table)
+    return OfflineResult(float(cost_min[m]), cost_min, choice)

@@ -53,32 +53,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Trigger threshold: one scalar, or one value per system."""
+    """Trigger threshold shared by every system."""
 
-    theta: float | tuple[float, ...]
+    theta: float
 
     def __post_init__(self):
         th = self.theta
-        if isinstance(th, (list, np.ndarray)):
-            th = tuple(float(v) for v in th)
-            object.__setattr__(self, "theta", th)
-        values = th if isinstance(th, tuple) else (th,)
-        if not values or any(
-            not (isinstance(v, (int, float)) and v > 0 and math.isfinite(v))
-            for v in values
-        ):
+        if not (isinstance(th, (int, float)) and th > 0 and math.isfinite(th)):
             raise ValidationError(f"theta must be positive and finite, got {th}")
-
-    def theta_for(self, i: int) -> float:
-        if isinstance(self.theta, tuple):
-            return self.theta[i]
-        return float(self.theta)
-
-    def check_systems(self, n: int) -> None:
-        if isinstance(self.theta, tuple) and len(self.theta) != n:
-            raise ValidationError(
-                f"theta vector has {len(self.theta)} entries for {n} systems"
-            )
+        object.__setattr__(self, "theta", float(th))
 
 
 # ------------------------------------------------- threshold closed forms
@@ -184,7 +167,6 @@ class _Engine:
         n = trace.n_systems
         if not 1 <= k <= n:
             raise ValidationError(f"K must be in [1, {n}], got {k}")
-        policy.check_systems(n)
         self.trace = trace
         self.policy = policy
         self.k = k
@@ -229,11 +211,11 @@ class _Engine:
 
     def _push(self, i: int) -> None:
         """Schedule i's next crossing: the earliest t >= floor at which
-        sum w * (t - t_e) over i's pending events reaches theta_i times the
+        sum w * (t - t_e) over i's pending events reaches theta times the
         cost of the report i would send."""
         if not self.pend[i]:
             return
-        target = self.policy.theta_for(i) * self.cost_fn.of_total(self.acc_w[i])
+        target = self.policy.theta * self.cost_fn.of_total(self.acc_w[i])
         t_star = (target + self.acc_wt[i]) / self.acc_w[i]
         if t_star < self.floor[i]:
             t_star = self.floor[i]

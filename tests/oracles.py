@@ -9,6 +9,8 @@ Two references keep the library's own code paths instead: `full_scan_net`
 reuses the trigger engine's event loop and replaces only graph-limited
 forwarding, and `full_dp_offline` is the segment DP scanning every start at
 every close, which the windowed oracle must match bit for bit.
+`k1_schedule` turns a DP table's segment choices into a K=1 schedule, so
+tests can score the partition the oracle's value stands for.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from aggsim.model import (
     ReportSchedule,
     UnityCost,
 )
-from aggsim.offline import DpTable, OfflineResult
+from aggsim.offline import OfflineResult
 from aggsim.online import ThresholdPolicy, _Engine
 
 
@@ -129,8 +131,8 @@ def full_dp_offline(
     trace: EventTrace, k: int, rho: float, cost_fn: CommCost
 ) -> OfflineResult:
     """The segment DP with linear latency, scanning every start a < j at
-    every close j, and its K=1 reconstruction with one cover test per tied
-    system. Inputs are assumed valid (K-feasible, 0 < rho < 1, m >= 1)."""
+    every close j. Inputs are assumed valid (K-feasible, 0 < rho < 1,
+    m >= 1)."""
     m = trace.n_events
     n = trace.n_systems
     times = trace.times
@@ -155,13 +157,26 @@ def full_dp_offline(
         a_best = int(np.argmin(cand))
         cost_min[j] = cand[a_best]
         choice[j] = j - a_best
-    table = DpTable(cost_min, choice)
-    value = float(cost_min[m])
-    if k > 1:
-        return OfflineResult(value, None, table)
+    return OfflineResult(float(cost_min[m]), cost_min, choice)
 
+
+def k1_schedule(
+    trace: EventTrace, choice: np.ndarray, cost_fn: CommCost
+) -> ReportSchedule:
+    """K=1 schedule for the segment partition that `choice` encodes.
+
+    Segment lengths are walked back from the last event. Each segment is
+    reported at its closing event time by the cheapest system, preferring
+    among tied systems one that observed the whole segment, then the lowest
+    index. Events the chosen system did not observe ride along as forwarded
+    ids. The schedule is deliverable as written whenever each chosen system
+    observed its whole segment, which always holds for all-positive weights.
+    """
+    n = trace.n_systems
+    times = trace.times
+    weights = trace.weights
     segments = []
-    j = m
+    j = trace.n_events
     while j > 0:
         length = int(choice[j])
         segments.append((j - length, j))
@@ -185,26 +200,20 @@ def full_dp_offline(
                 tuple(trace.event_ids[r] for r in rows if weights[r][i_star] <= 0),
             )
         )
-    return OfflineResult(
-        value, ReportSchedule(tuple(tuple(r) for r in per_system)), table
-    )
+    return ReportSchedule(tuple(tuple(r) for r in per_system))
 
 
 def independent_thb(
     trace: EventTrace,
-    theta,
+    theta: float,
     cost_fn: CommCost,
 ) -> list[list[tuple[float, tuple[int, ...]]]]:
     """Reference no-intercommunication march with bisection crossings.
 
-    Returns, per system, (report_time, event_ids) pairs. `theta` is a scalar or per-system sequence. Written without the
-    closed-form solver or any engine machinery.
+    Returns, per system, (report_time, event_ids) pairs. Written without
+    the closed-form solver or any engine machinery.
     """
     n = trace.n_systems
-    if isinstance(theta, (int, float)):
-        thetas = [float(theta)] * n
-    else:
-        thetas = [float(v) for v in theta]
     out: list[list[tuple[float, tuple[int, ...]]]] = []
     for i in range(n):
         mine = [
@@ -217,7 +226,7 @@ def independent_thb(
         for pos, (t_e, j, w) in enumerate(mine):
             nxt = mine[pos + 1][0] if pos + 1 < len(mine) else math.inf
             pending.append((w, t_e, j))
-            target = thetas[i] * cost_fn.of_total(sum(p[0] for p in pending))
+            target = theta * cost_fn.of_total(sum(p[0] for p in pending))
             t_star = crossing_time_bisect(
                 [(p[0], p[1]) for p in pending], target, t_e
             )

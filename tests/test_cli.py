@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aggsim.cli import main
-from aggsim.graph import CommGraph
+from aggsim.graph import CommGraph, Role, compute_x, gen_udg, greedy_mis
 from aggsim.model import EventTrace
 from aggsim.online import threshold_full, threshold_none
 
@@ -185,10 +185,22 @@ def test_gen_graph(capsys, tmp_path):
     )
     assert code == 0
     assert "x=" in out
+    text = p.read_text()
+    assert "positions" not in text
     g = CommGraph.load(p)
     assert g.n == 30
     assert 5.0 <= g.avg_degree <= 7.0
     assert len(g.forward_nodes()) > 0
+    # the written file holds the generated graph: same edges, roles and x
+    want = gen_udg(30, 6.0, 2)
+    fwd = greedy_mis(want)
+    want = want.with_roles(
+        [Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(30)]
+    )
+    assert g.edges == want.edges and g.roles == want.roles
+    x = compute_x(g)
+    assert f"x={x.value} ({'exact' if x.exact else 'approx'})" in out
+    assert compute_x(want) == x
 
 
 def test_gen_graph_infeasible(capsys, tmp_path):
@@ -264,6 +276,27 @@ def test_sweep_worker_count_errors_exit_one(capsys, tmp_path, monkeypatch):
     assert run_cli(
         capsys, "sweep", "--config", cfg, "--out", out, "--workers", "1"
     )[0] == 0
+
+
+def test_sweep_non_integer_counts_exit_one(capsys, tmp_path):
+    for entry in (
+        '"N": [2.5], "K": [1]',
+        '"N": [4], "K": [1.5]',
+        '"N": [4], "K": [1], "runs": 1.5',
+        '"N": [4], "K": [1], "n_events": 10.5',
+        '"N": [4], "K": [1], "seed": -1',
+        '"N": [4], "K": [1], "seed": 1.5',
+    ):
+        cfg = write_config(
+            tmp_path,
+            '{"scenario": "SPU", "mode": "none", "rho": [0.5], %s}' % entry,
+        )
+        code, _, err = run_cli(
+            capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+            "--workers", "1",
+        )
+        assert code == 1, entry
+        assert "error:" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------- exit status

@@ -61,8 +61,6 @@ def test_validation():
         CommGraph.from_edges(3, [(0, 3)])
     with pytest.raises(ValidationError):
         CommGraph(2, frozenset(), roles=(Role.WITHHOLD,))
-    with pytest.raises(ValidationError):
-        CommGraph(2, frozenset(), positions=((0.0, 0.0),))
 
 
 def test_roles():
@@ -83,13 +81,15 @@ def test_text_round_trip(tmp_path):
     assert CommGraph.load(p) == g
 
 
-def test_text_round_trip_with_positions(tmp_path):
-    g = gen_udg(12, 4.0, seed=7)
-    p = tmp_path / "g.txt"
-    g.save(p)
-    back = CommGraph.load(p)
-    assert back.edges == g.edges
-    assert back.positions == g.positions  # repr round trip is exact
+def test_legacy_positions_section_is_ignored():
+    g = CommGraph.from_edges(3, [(0, 1), (1, 2)]).with_roles(
+        [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD]
+    )
+    legacy = g.to_text() + "positions\n0.5 0.25\n0.1 0.9\n0.75 0.0\n"
+    assert CommGraph.from_text(legacy) == g
+    no_roles = "2\n0 1\npositions\n0.0 0.0\n1.0 1.0\n"
+    assert CommGraph.from_text(no_roles) == CommGraph.from_edges(2, [(0, 1)])
+    assert "positions" not in gen_udg(12, 4.0, seed=7).to_text()
 
 
 def test_text_round_trip_with_roles(tmp_path):
@@ -116,6 +116,22 @@ def test_format_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as e:
         CommGraph.from_text("3\n0 1 7\n")
     assert "line 2" in str(e.value)
+    for header in ("0", "-2"):
+        with pytest.raises(GraphFormatError) as e:
+            CommGraph.from_text(header + "\n")
+        assert "line 1" in str(e.value) and "at least one node" in str(e.value)
+    with pytest.raises(GraphFormatError) as e:  # no roles row
+        CommGraph.from_text("3\n0 1\nroles\n")
+    assert "line 3" in str(e.value)
+    with pytest.raises(GraphFormatError) as e:  # no roles row before positions
+        CommGraph.from_text("3\n0 1\nroles\npositions\n")
+    assert "line 3" in str(e.value)
+    with pytest.raises(GraphFormatError) as e:  # second roles section
+        CommGraph.from_text("3\n0 1\nroles\nWFW\nroles\nFFF\n")
+    assert "line 5" in str(e.value)
+    with pytest.raises(GraphFormatError) as e:  # second roles row
+        CommGraph.from_text("3\n0 1\nroles\nWFW\nFFF\n")
+    assert "line 5" in str(e.value)
 
 
 # -------------------------------------------------------------- generation
@@ -131,7 +147,6 @@ def test_udg_degree_window_and_connectivity():
         g = gen_udg(100, 18.0, seed=seed)
         assert g.is_connected()
         assert 17.0 <= g.avg_degree <= 19.0
-        assert g.positions is not None and len(g.positions) == 100
 
 
 def test_udg_deterministic():

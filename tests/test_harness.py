@@ -99,6 +99,22 @@ def test_parse_config_errors():
         small_cfg(theta_values=(0.0,))
     with pytest.raises(ConfigError):
         small_cfg(runs=0)
+    for bad in (
+        dict(n_values=(2.5,)),
+        dict(k_values=(1.5,)),
+        dict(k_values=(True,)),
+        dict(runs=1.5),
+        dict(n_events=10.5),
+        dict(seed=-1),
+        dict(seed=1.5),
+    ):
+        with pytest.raises(ConfigError, match="integer"):
+            small_cfg(**bad)
+    with pytest.raises(ConfigError, match="N values must be integers"):
+        parse_config(
+            '{"scenario": "SPU", "mode": "none", "N": [2.5], "K": [1],'
+            ' "rho": [0.5]}'
+        )
 
 
 def test_load_config(tmp_path):

@@ -27,8 +27,8 @@ def test_two_event_single_system_value():
     res = offline_lb(tr, 1, 0.5, UnityCost())
     # one report at t=1 and two immediate reports both cost exactly 1
     assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert res.schedule is not None
-    out = evaluate(res.schedule, tr, 1, 0.5, UnityCost())
+    sched = oracles.k1_schedule(tr, res.choice, UnityCost())
+    out = evaluate(sched, tr, 1, 0.5, UnityCost())
     assert out.total == pytest.approx(res.value, abs=1e-12)
 
 
@@ -36,22 +36,22 @@ def test_single_event_reports_immediately():
     tr = EventTrace([3.0], [[0.5, 2.0]])
     res = offline_lb(tr, 1, 0.5, LogCost())
     assert res.value == pytest.approx(0.5 * math.log(2.5), abs=1e-12)
-    (reports,) = [r for r in res.schedule.per_system if r]
-    assert reports[0].time == 3.0
+    assert list(res.choice) == [0, 1]
+    sched = oracles.k1_schedule(tr, res.choice, LogCost())
+    assert sched.per_system == ((Report(3.0, (0,)),), ())
 
 
 def test_empty_trace():
     tr = EventTrace([], np.zeros((0, 2)))
     res = offline_lb(tr, 1, 0.5, UnityCost())
     assert res.value == 0.0
-    assert res.schedule.total_reports() == 0
+    assert list(res.cost_min) == [0.0]
 
 
 def test_k2_identical_observers_doubles_comm():
     tr = EventTrace([0.0, 0.5, 1.0], np.ones((3, 2)))
     r1 = offline_lb(tr, 1, 0.5, UnityCost())
     r2 = offline_lb(tr, 2, 0.5, UnityCost())
-    assert r2.schedule is None
     # unity comm doubles while latency is unchanged; verify against the
     # exhaustive reference rather than assuming the same partition wins
     assert r2.value == pytest.approx(
@@ -124,7 +124,8 @@ def test_reconstruction_matches_value_on_positive_traces():
         )
         rho = float(rng.uniform(0.2, 0.8))
         res = offline_lb(tr, 1, rho, LogCost())
-        out = evaluate(res.schedule, tr, 1, rho, LogCost())
+        sched = oracles.k1_schedule(tr, res.choice, LogCost())
+        out = evaluate(sched, tr, 1, rho, LogCost())
         assert out.feasible
         assert out.total == pytest.approx(res.value, abs=1e-9)
 
@@ -136,13 +137,13 @@ def test_table_backpointers_cover_the_prefix():
     j = tr.n_events
     seen = 0
     while j > 0:
-        ell = int(res.table.choice[j])
+        ell = int(res.choice[j])
         assert 1 <= ell <= j
         seen += ell
         j -= ell
     assert seen == tr.n_events
-    assert res.table.cost_min[0] == 0.0
-    assert np.all(res.table.cost_min >= 0.0)
+    assert res.cost_min[0] == 0.0
+    assert np.all(res.cost_min >= 0.0)
 
 
 def test_larger_instance_runs_fast():
@@ -200,9 +201,8 @@ def assert_same_as_full_scan(tr, k, rho, cost):
     got = offline_lb(tr, k, rho, cost)
     want = oracles.full_dp_offline(tr, k, rho, cost)
     assert got.value.hex() == want.value.hex()
-    assert got.table.cost_min.tobytes() == want.table.cost_min.tobytes()
-    assert got.table.choice.tobytes() == want.table.choice.tobytes()
-    assert got.schedule == want.schedule
+    assert got.cost_min.tobytes() == want.cost_min.tobytes()
+    assert got.choice.tobytes() == want.choice.tobytes()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -222,11 +222,11 @@ def test_window_boundary_is_tight_for_unity_cost(rho):
     w = 0.75
     below = two_events(rho * (1 - 1e-9) / ((1 - rho) * w), w)
     res = offline_lb(below, 1, rho, UnityCost())
-    assert res.table.choice[2] == 2
+    assert res.choice[2] == 2
     assert_same_as_full_scan(below, 1, rho, UnityCost())
     above = two_events(rho * (1 + 1e-9) / ((1 - rho) * w), w)
     res = offline_lb(above, 1, rho, UnityCost())
-    assert list(res.table.choice[1:]) == [1, 1]
+    assert list(res.choice[1:]) == [1, 1]
     assert_same_as_full_scan(above, 1, rho, UnityCost())
 
 
@@ -236,7 +236,7 @@ def test_window_keeps_a_start_that_only_rounding_makes_worse():
     # takes the first of the tie: the merged segment
     tr = two_events(np.nextafter(1.0, 2.0))
     res = offline_lb(tr, 1, 0.5, UnityCost())
-    assert res.table.choice[2] == 2
+    assert res.choice[2] == 2
     assert_same_as_full_scan(tr, 1, 0.5, UnityCost())
 
 
@@ -249,5 +249,5 @@ def test_window_bounds_log_cost_by_its_largest_report():
     assert math.log(2.0) < gain < math.log(2 + 2 * w)
     tr = two_events(0.5 * (math.log(2.0) + gain) * rho / ((1 - rho) * w), w)
     res = offline_lb(tr, 1, rho, LogCost())
-    assert res.table.choice[2] == 2
+    assert res.choice[2] == 2
     assert_same_as_full_scan(tr, 1, rho, LogCost())

@@ -119,11 +119,10 @@ def test_policy_validation():
     with pytest.raises(ValidationError):
         ThresholdPolicy(-1.0)
     with pytest.raises(ValidationError):
-        ThresholdPolicy((0.5, 0.0))
-    pol = ThresholdPolicy([0.5, 0.25])
-    assert pol.theta_for(1) == 0.25
+        ThresholdPolicy(math.inf)
     with pytest.raises(ValidationError):
-        pol.check_systems(3)
+        ThresholdPolicy((0.5, 0.25))  # one theta serves every system
+    assert ThresholdPolicy(1).theta == 1.0
 
 
 # ------------------------------------------------------ crossing instants
@@ -184,7 +183,7 @@ def test_engine_validation():
     with pytest.raises(ValidationError):
         run_net(tr, pol, 1, UnityCost(), CommGraph.empty(3))
     with pytest.raises(ValidationError):
-        run_thb(tr, ThresholdPolicy((1.0, 1.0, 1.0)), 1, UnityCost())
+        run_thb(tr, ThresholdPolicy((1.0, 1.0)), 1, UnityCost())
 
 
 def feasible_instance(rng, n_max=5, m_max=9, k=None):
@@ -355,13 +354,22 @@ def test_same_instant_cascade_after_removal():
     # sys0 fires first; dropping the shared heavy event raises sys1's
     # pending ratio (log cost shrinks the denominator more than the
     # latency numerator), so sys1 fires at the very same instant
-    tr = EventTrace([0.0, 2.5], [[0.0, 0.12], [5.0, 5.0]])
-    pol = ThresholdPolicy((0.2, 0.4))
+    tr = EventTrace([0.0, 2.5], [[0.0, 0.12], [20.0, 5.0]])
+    pol = ThresholdPolicy(0.4)
     cost = LogCost()
     s = run_itc(tr, pol, 1, cost)
     t0 = oracles.crossing_time_bisect(
-        [(5.0, 2.5)], 0.2 * cost.of_total(5.0), 2.5
+        [(20.0, 2.5)], 0.4 * cost.of_total(20.0), 2.5
     )
+    # sys1's first event alone crosses after the second arrives but before
+    # t0; with both events pending sys1 crosses after t0
+    alone = oracles.crossing_time_bisect(
+        [(0.12, 0.0)], 0.4 * cost.of_total(0.12), 0.0
+    )
+    assert 2.5 < alone < t0
+    assert oracles.crossing_time_bisect(
+        [(0.12, 0.0), (5.0, 2.5)], 0.4 * cost.of_total(5.12), 2.5
+    ) > t0
     assert len(s.per_system[0]) == 1 and len(s.per_system[1]) == 1
     assert s.per_system[0][0].time == pytest.approx(t0, abs=1e-9)
     assert s.per_system[0][0].event_ids == (1,)
@@ -411,19 +419,22 @@ def test_forward_node_reforwards_only_grown_rows():
     # Node 1's second report (event 3, t=3.3) re-forwards event 0 and the
     # event 2 it originated, not event 1, and the two origins it carries
     # drop node 3's pending copy of event 0 before node 3's own crossing.
+    # With unity cost, sum w*(t - t_e) = theta_i crosses where weights
+    # w/theta_i do at theta = 1, so at theta = 1 node i runs as with its
+    # column times theta_i and its own theta_i = (1.0, 0.8, 2.0, 10.0).
     tr = EventTrace(
         [0.0, 0.1, 0.2, 2.5],
         [
-            [1.0, 0.0, 1.0, 1.0],
+            [1.0, 0.0, 0.5, 0.1],
             [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 1.25, 0.0, 0.0],
+            [0.0, 1.25, 0.0, 0.0],
         ],
     )
     g = CommGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).with_roles(
         [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD, Role.WITHHOLD]
     )
-    pol = ThresholdPolicy((1.0, 0.8, 2.0, 10.0))
+    pol = ThresholdPolicy(1.0)
     s = run_net(tr, pol, 2, UnityCost(), g)
     assert s.per_system[0] == (Report(0.55, (0, 1)),)
     assert s.per_system[2] == (Report(2.0, (0,)),)
@@ -439,26 +450,31 @@ def test_forwarded_rows_are_removed_in_first_seen_order():
     # forward node 1 hears event 2 (from node 0, t=0.4) before event 1
     # (from node 3, t=0.6) and forwards both at t=1. Node 2 drops them in
     # that order, and the order of the subtractions fixes the last bit of
-    # its crossing time for the event 3 it still holds.
+    # its crossing time for the event 3 it still holds. As in the test
+    # above, the columns carry theta_i = (0.2, 1.0, 4.0, 0.5).
     tr = EventTrace(
         [0.0, 0.1, 0.2, 0.3],
         [
             [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.1, 1.0],
-            [1.0, 0.0, 0.2, 0.0],
-            [0.0, 0.0, 0.1, 0.0],
+            [0.0, 0.0, 0.025, 2.0],
+            [5.0, 0.0, 0.05, 0.0],
+            [0.0, 0.0, 0.025, 0.0],
         ],
     )
     g = CommGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)]).with_roles(
         [Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD, Role.WITHHOLD]
     )
-    pol = ThresholdPolicy((0.2, 1.0, 4.0, 0.5))
+    pol = ThresholdPolicy(1.0)
     s = run_net(tr, pol, 1, UnityCost(), g)
     assert s.per_system[1] == (Report(1.0, (0,), (1, 2)),)
-    acc_w = 0.1 + 0.2 + 0.1
-    acc_wt = 0.1 * 0.1 + 0.2 * 0.2 + 0.1 * 0.3
-    heard = (4.0 + ((acc_wt - 0.2 * 0.2) - 0.1 * 0.1)) / ((acc_w - 0.2) - 0.1)
-    by_row = (4.0 + ((acc_wt - 0.1 * 0.1) - 0.2 * 0.2)) / ((acc_w - 0.1) - 0.2)
+    acc_w = 0.025 + 0.05 + 0.025
+    acc_wt = 0.025 * 0.1 + 0.05 * 0.2 + 0.025 * 0.3
+    heard = (1.0 + ((acc_wt - 0.05 * 0.2) - 0.025 * 0.1)) / (
+        (acc_w - 0.05) - 0.025
+    )
+    by_row = (1.0 + ((acc_wt - 0.025 * 0.1) - 0.05 * 0.2)) / (
+        (acc_w - 0.025) - 0.05
+    )
     assert heard != by_row
     assert s.per_system[2] == (Report(heard, (3,)),)
     assert s == oracles.full_scan_net(tr, pol, 1, UnityCost(), g)
@@ -480,11 +496,14 @@ def net_instances(draw):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges |= {e for e in draw(st.lists(pair, max_size=n)) if e[0] < e[1]}
     roles = draw(exactly(n, st.sampled_from(Role)))
+    # Column i divided by theta_i crosses at theta = 1 exactly where the
+    # column would at its own theta_i under unity cost (powers of two
+    # scale without rounding), which varies the order of crossings.
     thetas = draw(exactly(n, st.sampled_from([0.25, 0.5, 1.0, 2.0])))
     return (
-        EventTrace(np.cumsum(gaps), w),
+        EventTrace(np.cumsum(gaps), np.array(w) / thetas),
         CommGraph.from_edges(n, edges).with_roles(roles),
-        ThresholdPolicy(tuple(thetas)),
+        ThresholdPolicy(1.0),
         draw(st.integers(1, n)),
         draw(st.sampled_from([UnityCost(), LogCost()])),
     )

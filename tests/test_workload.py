@@ -146,7 +146,7 @@ def test_two_event_instance_oracle_value():
 def test_two_event_instance_online_cost():
     n = 4
     tr = gen_thm6_instance(n, [1.0 / n] * n, 1.0, 1e-6)
-    s = run_thb(tr, ThresholdPolicy((1.0 / n,) * n), 1, UnityCost())
+    s = run_thb(tr, ThresholdPolicy(1.0 / n), 1, UnityCost())
     cost = evaluate(s, tr, 1, 0.5, UnityCost()).total
     assert cost >= (2 * (n - 1) + 2 + 1) / 2.0
 
@@ -215,9 +215,8 @@ def test_perturb_validation():
 
 def test_perturbation_lowers_adversarial_ratio():
     n = 10
-    thetas = (1.0 / n,) * n
-    pol = ThresholdPolicy(thetas)
-    base = gen_thm6_instance(n, thetas, 1.0, 1e-6)
+    pol = ThresholdPolicy(1.0 / n)
+    base = gen_thm6_instance(n, [1.0 / n] * n, 1.0, 1e-6)
 
     def ratio(tr):
         s = run_thb(tr, pol, 1, UnityCost())
