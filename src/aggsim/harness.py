@@ -65,6 +65,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario_code: str
@@ -81,6 +85,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         code = self.scenario_code
+        if not isinstance(code, str):
+            raise ConfigError(f"scenario must be a string, got {code!r}")
         if code != "ADV2":
             if (
                 len(code) != 3
@@ -100,8 +106,12 @@ class ScenarioConfig:
             raise ConfigError("N values must be integers >= 1")
         if any(not _is_int(k) or k < 1 for k in self.k_values):
             raise ConfigError("K values must be integers >= 1")
-        if any(not 0.0 < r < 1.0 for r in self.rho_values):
-            raise ConfigError("rho values must lie in (0, 1)")
+        if any(not _is_real(r) or not 0.0 < r < 1.0 for r in self.rho_values):
+            raise ConfigError("rho values must be numbers in (0, 1)")
+        if any(t is not None and not _is_real(t) for t in self.theta_values):
+            raise ConfigError(
+                "theta must be a number, a list of numbers or null"
+            )
         if any(t is not None and t <= 0 for t in self.theta_values):
             raise ConfigError("theta overrides must be positive")
         if not _is_int(self.runs) or self.runs < 1:
@@ -110,10 +120,11 @@ class ScenarioConfig:
             raise ConfigError("n_events must be an integer >= 1")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be an integer >= 0")
-        if not 0.0 <= self.perturb_pct <= 1.0:
-            raise ConfigError("perturb_pct must be in [0, 1]")
-        if self.avg_degree < 0:
-            raise ConfigError("avg_degree must be >= 0")
+        pct = self.perturb_pct
+        if not _is_real(pct) or not 0.0 <= pct <= 1.0:
+            raise ConfigError("perturb_pct must be a number in [0, 1]")
+        if not _is_real(self.avg_degree) or self.avg_degree < 0:
+            raise ConfigError("avg_degree must be a number >= 0")
 
     @property
     def points(self) -> list[tuple[int, int, float, float | None]]:
@@ -173,10 +184,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if required not in kwargs:
             name = next(k for k, f in _CONFIG_KEYS.items() if f == required)
             raise ConfigError(f"missing required config key {name!r}")
-    try:
-        return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path: str) -> ScenarioConfig:

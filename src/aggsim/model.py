@@ -17,6 +17,7 @@ cost families, and a pure evaluator for that objective.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,7 +69,9 @@ class EventTrace:
     weights nonnegative and finite.
     """
 
-    __slots__ = ("times", "weights", "event_ids", "_id_to_index")
+    __slots__ = (
+        "times", "weights", "event_ids", "_id_to_index", "_ids", "_by_id"
+    )
 
     def __init__(
         self,
@@ -112,14 +115,23 @@ class EventTrace:
         for row, e in enumerate(ids):
             if index.setdefault(e, row) != row:
                 raise _RowError(f"duplicate event id {e}", row)
+        try:
+            id_array = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("event ids must fit in 64 bits") from None
         t = t.copy()
         w = w.copy()
         t.setflags(write=False)
         w.setflags(write=False)
+        id_array.setflags(write=False)
         self.times = t
         self.weights = w
         self.event_ids = ids
         self._id_to_index = index
+        self._ids = id_array
+        # rows sorted by id, for vectorized lookups; None when ids are rows
+        identity = np.array_equal(id_array, np.arange(id_array.size))
+        self._by_id = None if identity else np.argsort(id_array, kind="stable")
 
     @property
     def n_events(self) -> int:
@@ -137,6 +149,25 @@ class EventTrace:
             return self._id_to_index[event_id]
         except KeyError:
             raise ValidationError(f"unknown event id {event_id!r}") from None
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Rows of an int64 array of event ids; `index_of` over an array."""
+        if self._by_id is None:
+            bad = (ids < 0) | (ids >= self.n_events)
+            rows = ids
+        else:
+            pos = np.searchsorted(self._ids, ids, sorter=self._by_id)
+            rows = self._by_id[np.minimum(pos, self.n_events - 1)]
+            bad = pos >= self.n_events
+            bad[~bad] = self._ids[rows[~bad]] != ids[~bad]
+        if bad.any():
+            bad_id = int(ids[np.argmax(bad)])
+            raise ValidationError(f"unknown event id {bad_id!r}")
+        return rows
+
+    def ids_of(self, rows: np.ndarray) -> np.ndarray:
+        """Event ids of an array of rows."""
+        return self._ids[rows]
 
     def time_of(self, event_id: int) -> float:
         return float(self.times[self.index_of(event_id)])
@@ -308,53 +339,167 @@ class Report:
     forwarded_ids: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
 class ReportSchedule:
-    """Per-system report sequences; the full decision output of an algorithm."""
+    """Every report of every system as flat columns; the full decision
+    output of an algorithm.
 
-    per_system: tuple[tuple[Report, ...], ...]
+    Report r is sent by system `system[r]` at `time[r]`; reports are kept in
+    (system, time) order. The ids a report carries are (report, event id)
+    pairs: `orig_report`/`orig_id` hold the ids it originates and
+    `fwd_report`/`fwd_id` the ids it forwards, each in (system, report,
+    position) order. Schedules written by hand are built from per-system
+    `Report` sequences, and `per_system` gives that view back.
+    """
+
+    __slots__ = (
+        "n_systems", "system", "time", "orig_report", "orig_id", "fwd_report",
+        "fwd_id",
+    )
+    _DTYPES = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
+
+    def __init__(self, per_system: Sequence[Sequence[Report]]):
+        system: list[int] = []
+        time: list[float] = []
+        orig_report: list[int] = []
+        orig_id: list[int] = []
+        fwd_report: list[int] = []
+        fwd_id: list[int] = []
+        for i, reports in enumerate(per_system):
+            for rep in reports:
+                r = len(time)
+                system.append(i)
+                time.append(rep.time)
+                orig_report += [r] * len(rep.event_ids)
+                orig_id += rep.event_ids
+                fwd_report += [r] * len(rep.forwarded_ids)
+                fwd_id += rep.forwarded_ids
+        self._set(
+            len(per_system), system, time, orig_report, orig_id, fwd_report,
+            fwd_id,
+        )
+
+    @classmethod
+    def from_columns(cls, n_systems: int, *columns) -> "ReportSchedule":
+        """Wrap `system, time, orig_report, orig_id, fwd_report, fwd_id`
+        columns that already keep the order above."""
+        self = cls.__new__(cls)
+        self._set(n_systems, *columns)
+        return self
+
+    def _set(self, n_systems: int, *columns) -> None:
+        self.n_systems = n_systems
+        for name, col, dtype in zip(self.__slots__[1:], columns, self._DTYPES):
+            a = np.asarray(col, dtype=dtype)
+            a.setflags(write=False)
+            setattr(self, name, a)
 
     @property
-    def n_systems(self) -> int:
-        return len(self.per_system)
+    def per_system(self) -> tuple[tuple[Report, ...], ...]:
+        """The reports of each system as `Report` objects."""
+        n_reports = self.total_reports()
+        orig = _grouped(self.orig_report, self.orig_id.tolist(), n_reports)
+        fwd = _grouped(self.fwd_report, self.fwd_id.tolist(), n_reports)
+        reports = [Report(*r) for r in zip(self.time.tolist(), orig, fwd)]
+        return tuple(_grouped(self.system, reports, self.n_systems))
 
     def total_reports(self) -> int:
-        return sum(len(reports) for reports in self.per_system)
+        return int(self.time.size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReportSchedule):
+            return NotImplemented
+        return self.n_systems == other.n_systems and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__[1:]
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ReportSchedule(n_systems={self.n_systems}, "
+            f"reports={self.total_reports()}, originated={self.orig_id.size}, "
+            f"forwarded={self.fwd_id.size})"
+        )
+
+    def _locate(self, r: int) -> tuple[int, int]:
+        """(system, index among that system's reports) of report r."""
+        i = int(self.system[r])
+        return i, r - int(np.searchsorted(self.system, i))
 
     def validate(self, trace: EventTrace) -> None:
         """Check the schedule invariants against a trace.
 
-        Raises ValidationError listing the first offending (system, report,
-        event) triple when a report precedes an event it carries, when report
-        times fail to increase, or when a system originates an event it did
-        not observe.
+        Raises ValidationError naming the first offending (system, report,
+        event) triple when report times fail to increase, when a report
+        precedes an event it carries or carries one event twice, or when a
+        system originates an event it did not observe.
         """
+        self._checked(trace)
+
+    def _checked(
+        self, trace: EventTrace
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`validate`, returning the row, system and weight of every
+        originated pair."""
         if self.n_systems != trace.n_systems:
             raise ValidationError(
                 f"schedule has {self.n_systems} systems, trace has "
                 f"{trace.n_systems}"
             )
-        for i, reports in enumerate(self.per_system):
-            prev = -math.inf
-            for k, rep in enumerate(reports):
-                if not rep.time > prev:
-                    raise ValidationError(
-                        f"system {i}: report times must strictly increase "
-                        f"(report {k} at {rep.time})"
-                    )
-                prev = rep.time
-                for j in rep.event_ids + rep.forwarded_ids:
-                    if trace.time_of(j) > rep.time:
-                        raise ValidationError(
-                            f"report precedes event: system {i}, report {k}, "
-                            f"event {j}"
-                        )
-                for j in rep.event_ids:
-                    if trace.weight(i, j) <= 0.0:
-                        raise ValidationError(
-                            f"system {i}, report {k} originates event {j} "
-                            f"with zero measurement (must be forwarded)"
-                        )
+        system, time = self.system, self.time
+        prev = np.full(time.size, -math.inf)
+        same = system[1:] == system[:-1]
+        prev[1:][same] = time[:-1][same]
+        bad = ~(time > prev)
+        if bad.any():
+            r = int(np.argmax(bad))
+            i, k = self._locate(r)
+            raise ValidationError(
+                f"system {i}: report times must strictly increase "
+                f"(report {k} at {time[r]})"
+            )
+        orig_rows = trace.rows_of(self.orig_id)
+        report = np.concatenate((self.orig_report, self.fwd_report))
+        rows = np.concatenate((orig_rows, trace.rows_of(self.fwd_id)))
+        early = trace.times[rows] > time[report]
+        if early.any():
+            p = int(np.argmax(early))
+            i, k = self._locate(int(report[p]))
+            raise ValidationError(
+                f"report precedes event: system {i}, report {k}, "
+                f"event {trace.event_ids[rows[p]]}"
+            )
+        # (report, row) keys rise strictly over the originated pairs unless
+        # some report repeats a row there
+        m = trace.n_events
+        key = report * m + rows
+        n_orig = orig_rows.size
+        if rows.size > n_orig or (np.diff(key[:n_orig]) <= 0).any():
+            uniq, count = np.unique(key, return_counts=True)
+            if (count > 1).any():
+                r, row = divmod(int(uniq[np.argmax(count > 1)]), m)
+                i, k = self._locate(r)
+                raise ValidationError(
+                    f"system {i}, report {k} carries event "
+                    f"{trace.event_ids[row]} twice"
+                )
+        orig_sys = system[self.orig_report]
+        w = trace.weights[orig_rows, orig_sys]
+        unobserved = w <= 0.0
+        if unobserved.any():
+            p = int(np.argmax(unobserved))
+            i, k = self._locate(int(self.orig_report[p]))
+            raise ValidationError(
+                f"system {i}, report {k} originates event "
+                f"{trace.event_ids[orig_rows[p]]} with zero measurement "
+                f"(must be forwarded)"
+            )
+        return orig_rows, orig_sys, w
+
+
+def _grouped(keys: np.ndarray, values: list, n_groups: int) -> list[tuple]:
+    """Values split into groups 0..n_groups-1 by their sorted keys."""
+    cuts = np.searchsorted(keys, np.arange(n_groups + 1)).tolist()
+    return [tuple(values[a:b]) for a, b in itertools.pairwise(cuts)]
 
 
 @dataclass(frozen=True)
@@ -386,44 +531,50 @@ def evaluate(
 
     Report cost sums cost_fn over each report's own originated measurements.
     Latency charges every observation (i, j) its weight times the time from
-    the event to the global K-th-report time of j, regardless of when
-    system i itself reported it.
+    the event to j's delivery: the K-th smallest of the earliest times at
+    which distinct observers originated j, regardless of when system i
+    itself reported it.
     """
     if not 0 < rho < 1:
         raise ValidationError(f"rho must lie in (0, 1), got {rho}")
     if not 1 <= k <= trace.n_systems:
         raise ValidationError(f"K must be in [1, {trace.n_systems}], got {k}")
-    schedule.validate(trace)
+    rows, systems, w = schedule._checked(trace)
+    m, n = trace.n_events, trace.n_systems
 
-    comm = 0.0
-    # Delivery times: k-th smallest qualifying report time per event.
-    hit_times: dict[int, list[float]] = {e: [] for e in trace.event_ids}
-    for i, reports in enumerate(schedule.per_system):
-        for rep in reports:
-            total_w = 0.0
-            for j in rep.event_ids:
-                w = trace.weights[trace.index_of(j)][i]
-                total_w += w
-                hit_times[j].append(rep.time)
-            comm += cost_fn.of_total(total_w)
+    # Report costs are summed left to right in (system, report) order.
+    n_reports = schedule.total_reports()
+    if isinstance(cost_fn, UnityCost):
+        comm = float(n_reports)
+    elif n_reports:
+        totals = _report_totals(schedule.orig_report, w, n_reports)
+        costs = [cost_fn.of_total(x) for x in totals.tolist()]
+        comm = float(np.cumsum(costs)[-1])
+    else:
+        comm = 0.0
 
-    gammas = np.empty(trace.n_events, dtype=np.float64)
-    infeasible: list[int] = []
-    for pos, j in enumerate(trace.event_ids):
-        times = hit_times[j]
-        if len(times) < k:
-            gammas[pos] = math.inf
-            infeasible.append(j)
-        else:
-            times.sort()
-            gammas[pos] = times[k - 1]
+    # Delivery: one hit per (row, system), at the system's earliest report
+    # of the row (the first pair, as each system's reports rise in time).
+    times = schedule.time[schedule.orig_report]
+    key = rows * n + systems
+    if np.bincount(key, minlength=m * n).max(initial=0) > 1:
+        first = np.zeros(key.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        rows, times = rows[first], times[first]
+    hits = np.bincount(rows, minlength=m)
+    by_row = times[np.lexsort((times, rows))]
+    delivered = hits >= k
+    gammas = np.full(m, math.inf)
+    gammas[delivered] = by_row[(np.cumsum(hits) - hits + (k - 1))[delivered]]
 
-    if infeasible:
+    if not delivered.all():
         return CostBreakdown(
             comm=comm,
             latency=math.inf,
             total=math.inf,
-            infeasible_events=tuple(infeasible),
+            infeasible_events=tuple(
+                trace.event_ids[r] for r in np.flatnonzero(~delivered)
+            ),
         )
 
     row_sums = trace.weights.sum(axis=1)
@@ -432,3 +583,21 @@ def evaluate(
     total = rho * comm + (1.0 - rho) * latency
     return CostBreakdown(comm=comm, latency=latency, total=total)
 
+
+def _report_totals(
+    report: np.ndarray, weights: np.ndarray, n_reports: int
+) -> np.ndarray:
+    """Each report's weight sum, added left to right over its pairs.
+
+    Position p of every report that has one is added in a single step, so
+    each sum takes its terms in the same order as a scalar loop would.
+    """
+    lens = np.bincount(report, minlength=n_reports)
+    start = np.cumsum(lens) - lens
+    longest_first = np.argsort(-lens, kind="stable")
+    neg_lens = -lens[longest_first]
+    totals = np.zeros(n_reports)
+    for p in range(int(lens.max(initial=0))):
+        active = longest_first[: np.searchsorted(neg_lens, -p)]
+        totals[active] += weights[start[active] + p]
+    return totals

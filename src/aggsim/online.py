@@ -2,14 +2,16 @@
 
 Each system accumulates latency penalty for its locally unreported events
 and fires a report the instant that penalty reaches theta times the cost of
-the report it would send. Three intercommunication settings share one
-continuous-time engine:
+the report it would send. Three intercommunication settings:
 
-  * none: systems run independently (run_thb);
+  * none: systems run independently, as one array march over the event
+    rows (run_thb);
   * full: every report is overheard by everyone, and events already
     reported K times are dropped from all pending sets (run_itc);
   * partial: overhearing is restricted to graph neighbors, with
     forward-role nodes relaying identifiers of overheard reports (run_net).
+
+The last two share one continuous-time engine.
 
 The closed-form threshold settings below balance worst-case report cost
 against worst-case latency; each carries its proven competitive ratio.
@@ -28,8 +30,8 @@ from aggsim.graph import CommGraph, Role
 from aggsim.model import (
     CommCost,
     EventTrace,
-    Report,
     ReportSchedule,
+    UnityCost,
     ValidationError,
 )
 
@@ -142,10 +144,13 @@ class _Engine:
     time in priority order; every fire updates shared counts before the
     next candidate is examined, which realizes same-instant cascades.
 
-    The sharing rule is fixed at construction: with `full`, a report is
+    The sharing rule is fixed at construction: with no graph, a report is
     heard by everyone and an event leaves every pending set once it has K
-    reports; with a graph, reports reach neighbors only (below); with
-    neither, systems run independently.
+    reports; with a graph, reports reach neighbors only (below). Systems
+    that share nothing need no engine (`run_thb`).
+
+    Reports are written in firing order as columns (system, time, and the
+    rows each originates and forwards), then put in (system, time) order.
 
     Graph-limited mode adds a `known` table per node, mapping event rows to
     the systems known to have reported them. A forward node keeps its whole
@@ -161,12 +166,10 @@ class _Engine:
         k: int,
         cost_fn: CommCost,
         graph: CommGraph | None = None,
-        full: bool = False,
         priority: Sequence[int] | None = None,
     ):
         n = trace.n_systems
-        if not 1 <= k <= n:
-            raise ValidationError(f"K must be in [1, {n}], got {k}")
+        _check_k(k, n)
         self.trace = trace
         self.policy = policy
         self.k = k
@@ -178,7 +181,12 @@ class _Engine:
         self.acc_wt = [0.0] * n
         self.floor = [0.0] * n
         self.version = [0] * n
-        self.out: list[list[Report]] = [[] for _ in range(n)]
+        self.fired_system: list[int] = []
+        self.fired_time: list[float] = []
+        self.orig_rows: list[int] = []
+        self.orig_len: list[int] = []
+        self.fwd_rows: list[int] = []
+        self.fwd_len: list[int] = []
         self.heap: list[tuple[float, int, int, int]] = []
 
         pri = tuple(range(n)) if priority is None else tuple(priority)
@@ -189,7 +197,7 @@ class _Engine:
             self.rank[i] = pos
 
         # _share(self, i, rows, t) tells the others about i's report of
-        # `rows` at t and returns the ids i forwards with it. It is stored
+        # `rows` at t and returns the rows i forwards with it. It is stored
         # unbound: a bound method would put the engine in a reference cycle
         # and keep its tables alive after run() until the cycle collector.
         if graph is not None:
@@ -201,11 +209,9 @@ class _Engine:
             self.neighbors = [sorted(graph.neighbors(i)) for i in range(n)]
             self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
             self._share = type(self)._propagate_net
-        elif full:
+        else:
             self.cnt = [0] * trace.n_events
             self._share = type(self)._share_full
-        else:
-            self._share = type(self)._share_none
 
     # -- per-system trigger bookkeeping
 
@@ -246,16 +252,18 @@ class _Engine:
 
     def _fire(self, i: int, t: float) -> None:
         rows = list(self.pend[i])
-        ids = tuple(self.trace.event_ids[r] for r in rows)
         self.pend[i].clear()
         self.acc_w[i] = 0.0
         self.acc_wt[i] = 0.0
         self.floor[i] = t
         self.version[i] += 1
-        self.out[i].append(Report(t, ids, self._share(self, i, rows, t)))
-
-    def _share_none(self, i: int, rows: list[int], t: float) -> tuple[()]:
-        return ()
+        fwd = self._share(self, i, rows, t)
+        self.fired_system.append(i)
+        self.fired_time.append(t)
+        self.orig_rows += rows
+        self.orig_len.append(len(rows))
+        self.fwd_rows += fwd
+        self.fwd_len.append(len(fwd))
 
     def _share_full(self, i: int, rows: list[int], t: float) -> tuple[()]:
         """Everyone hears i; an event with K reports leaves every pending
@@ -271,8 +279,8 @@ class _Engine:
 
     def _propagate_net(
         self, i: int, rows: list[int], t: float
-    ) -> tuple[int, ...]:
-        """Share i's report with its neighbors; returns the forwarded ids.
+    ) -> list[int]:
+        """Share i's report with its neighbors; returns the forwarded rows.
 
         The payload maps each event row to the reporting systems i can
         vouch for: itself for rows it originates now and, when i has the
@@ -295,7 +303,7 @@ class _Engine:
         pending and drops a row's set when the row leaves its pending set.
         """
         known_i = self.known[i]
-        fwd_ids: list[int] = []
+        fwd_rows: list[int] = []
         if self.is_forward[i]:
             seen_i, dirty_i = self.seen[i], self.dirty[i]
             payload = {row: {i}.union(known_i.get(row, ())) for row in rows}
@@ -304,7 +312,7 @@ class _Engine:
                     # shared, not copied: i is not its own neighbor, so
                     # nothing changes this set while receivers read it
                     payload[row] = known_i[row]
-                    fwd_ids.append(row)
+                    fwd_rows.append(row)
             dirty_i.clear()
             for row in rows:
                 if row not in known_i:
@@ -342,7 +350,8 @@ class _Engine:
                     if len(merged) >= k:
                         del known_r[row]
                         self._remove(r, row, t)
-        return tuple(self.trace.event_ids[r] for r in sorted(fwd_ids))
+        fwd_rows.sort()
+        return fwd_rows
 
     # -- main loop
 
@@ -369,7 +378,29 @@ class _Engine:
             for i in np.nonzero(weights[row] > 0)[0]:
                 self._add_arrival(int(i), row, t, float(weights[row][int(i)]))
         self._drain(math.inf)
-        return ReportSchedule(tuple(tuple(r) for r in self.out))
+        return self._schedule()
+
+    def _schedule(self) -> ReportSchedule:
+        """The fired reports, put in (system, time) order."""
+        system = np.array(self.fired_system, dtype=np.int64)
+        order = np.argsort(system, kind="stable")
+        new_index = np.empty_like(order)
+        new_index[order] = np.arange(order.size)
+        columns = [system[order], np.array(self.fired_time)[order]]
+        for rows, lens in (
+            (self.orig_rows, self.orig_len),
+            (self.fwd_rows, self.fwd_len),
+        ):
+            report = np.repeat(new_index, lens)
+            by_report = np.argsort(report, kind="stable")
+            rows = np.array(rows, dtype=np.int64)[by_report]
+            columns += [report[by_report], self.trace.ids_of(rows)]
+        return ReportSchedule.from_columns(self.n, *columns)
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValidationError(f"K must be in [1, {n}], got {k}")
 
 
 def run_thb(
@@ -378,8 +409,87 @@ def run_thb(
     k: int,
     cost_fn: CommCost,
 ) -> ReportSchedule:
-    """Independent threshold reporting; every observer reports everything."""
-    return _Engine(trace, policy, k, cost_fn).run()
+    """Independent threshold reporting; every observer reports everything.
+
+    Systems share nothing, so no event heap is needed: a march over the
+    rows keeps every system's running sums and crossing time as arrays.
+    Before row r arrives, each system whose crossing lies before t_r fires
+    there, at most once, since it then holds nothing until r. Then r's
+    observers add its weight and recompute their crossings. A system whose
+    report would cost theta times c(W) for pending weight W crosses at
+    (theta * c(W) + sum w * t_e) / W, the same float steps as the engine's
+    `_push`. As there, the crossing is floored at t_r: pending weight only
+    grows here, so the floor binds only when rounding would put a report
+    before the event it carries.
+    """
+    n = trace.n_systems
+    _check_k(k, n)
+    m = trace.n_events
+    times = trace.times.tolist()
+    observed = trace.weights > 0
+    obs_row, obs_sys = np.nonzero(observed)
+    obs_w = trace.weights[observed]
+    cuts = np.searchsorted(obs_row, np.arange(m + 1)).tolist()
+    theta = policy.theta
+    unity = isinstance(cost_fn, UnityCost)
+
+    acc_w = np.zeros(n)
+    acc_wt = np.zeros(n)
+    cross = np.full(n, math.inf)  # inf: nothing pending, or never crosses
+    fired_system: list[np.ndarray] = []
+    fired_time: list[np.ndarray] = []
+    fired_step: list[np.ndarray] = []
+
+    def fire(due: np.ndarray, step: int) -> None:
+        fired_system.append(due)
+        fired_time.append(cross[due])
+        fired_step.append(np.full(due.size, step))
+        acc_w[due] = 0.0
+        acc_wt[due] = 0.0
+        cross[due] = math.inf
+
+    # tiny pending weights overflow the crossing to inf, as in the engine
+    with np.errstate(over="ignore"):
+        for row in range(m):
+            t = times[row]
+            due = np.flatnonzero(cross < t)
+            if due.size:
+                fire(due, row)
+            seen_by = obs_sys[cuts[row]:cuts[row + 1]]
+            w = obs_w[cuts[row]:cuts[row + 1]]
+            acc_w[seen_by] += w
+            acc_wt[seen_by] += w * t
+            pend_w = acc_w[seen_by]
+            if unity:
+                target = theta
+            else:
+                costs = [cost_fn.of_total(x) for x in pend_w.tolist()]
+                target = theta * np.array(costs)
+            cross[seen_by] = np.maximum((target + acc_wt[seen_by]) / pend_w, t)
+    fire(np.flatnonzero(cross < math.inf), m)
+
+    # Reports in (system, step) order; observation (i, r) rides in the
+    # first report i fires at a step after r.
+    system = np.concatenate(fired_system)
+    step = np.concatenate(fired_step)
+    order = np.lexsort((step, system))
+    system = system[order]
+    col_sys, col_row = np.nonzero(observed.T)
+    report = np.searchsorted(
+        system * (m + 1) + step[order], col_sys * (m + 1) + col_row, "right"
+    )
+    # a pending set whose crossing overflows to inf is never reported
+    kept = report < system.size
+    kept[kept] = system[report[kept]] == col_sys[kept]
+    return ReportSchedule.from_columns(
+        n,
+        system,
+        np.concatenate(fired_time)[order],
+        report[kept],
+        trace.ids_of(col_row[kept]),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+    )
 
 
 def run_itc(
@@ -393,7 +503,7 @@ def run_itc(
 
     Simultaneous crossings fire in `priority` order (default: by index).
     """
-    return _Engine(trace, policy, k, cost_fn, full=True, priority=priority).run()
+    return _Engine(trace, policy, k, cost_fn, priority=priority).run()
 
 
 def run_net(

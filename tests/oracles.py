@@ -4,7 +4,9 @@ Everything here is deliberately naive: plain Python loops, set arithmetic,
 and exhaustive enumeration. Latency is written out as weight times delay.
 No code is shared with the library's evaluator, oracle, or trigger solver
 beyond the public data types and the scalar cost callables, so agreement
-between the two routes is meaningful.
+between the two routes is meaningful. `loop_evaluate` is the evaluator as a
+loop over `Report` objects; the columnar `evaluate` must match it bit for
+bit.
 Two references keep the library's own code paths instead: `full_scan_net`
 reuses the trigger engine's event loop and replaces only graph-limited
 forwarding, and `full_dp_offline` is the segment DP scanning every start at
@@ -23,10 +25,12 @@ import numpy as np
 from aggsim.graph import CommGraph
 from aggsim.model import (
     CommCost,
+    CostBreakdown,
     EventTrace,
     Report,
     ReportSchedule,
     UnityCost,
+    ValidationError,
 )
 from aggsim.offline import OfflineResult
 from aggsim.online import ThresholdPolicy, _Engine
@@ -35,13 +39,14 @@ from aggsim.online import ThresholdPolicy, _Engine
 def naive_gamma(
     schedule: ReportSchedule, trace: EventTrace, j: int, k: int
 ) -> float:
-    """K-th smallest qualifying report time for event j, by brute listing."""
-    times = []
+    """K-th smallest, over distinct observers, of each observer's earliest
+    report time for event j, by brute listing."""
+    first: dict[int, float] = {}
     for i, reports in enumerate(schedule.per_system):
         for rep in reports:
             if j in rep.event_ids and trace.weight(i, j) > 0:
-                times.append(rep.time)
-    times.sort()
+                first[i] = min(first.get(i, math.inf), rep.time)
+    times = sorted(first.values())
     return times[k - 1] if len(times) >= k else math.inf
 
 
@@ -57,7 +62,7 @@ def naive_total(
     for i, reports in enumerate(schedule.per_system):
         for rep in reports:
             comm += cost_fn.of_total(
-                sum(trace.weight(i, j) for j in rep.event_ids)
+                sum(trace.weight(i, j) for j in set(rep.event_ids))
             )
     latency = 0.0
     for j in trace.event_ids:
@@ -70,6 +75,62 @@ def naive_total(
             if w > 0:
                 latency += w * (g - t_j)
     return rho * comm + (1.0 - rho) * latency
+
+
+def loop_evaluate(
+    schedule: ReportSchedule,
+    trace: EventTrace,
+    k: int,
+    rho: float,
+    cost_fn: CommCost,
+) -> CostBreakdown:
+    """`evaluate` as a loop over `Report` objects, one id lookup at a time.
+
+    Each (event, system) pair is one hit, at that system's earliest report
+    of the event. Floats are added in the same order as the columnar
+    `evaluate`, so the two agree bit for bit.
+    """
+    if not 0 < rho < 1:
+        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
+    if not 1 <= k <= trace.n_systems:
+        raise ValidationError(f"K must be in [1, {trace.n_systems}], got {k}")
+    schedule.validate(trace)
+
+    comm = 0.0
+    # Delivery times: k-th smallest of the observers' first report times.
+    hit_times: dict[int, dict[int, float]] = {e: {} for e in trace.event_ids}
+    for i, reports in enumerate(schedule.per_system):
+        for rep in reports:
+            total_w = 0.0
+            for j in rep.event_ids:
+                w = trace.weights[trace.index_of(j)][i]
+                total_w += w
+                hit_times[j].setdefault(i, rep.time)
+            comm += cost_fn.of_total(total_w)
+
+    gammas = np.empty(trace.n_events, dtype=np.float64)
+    infeasible: list[int] = []
+    for pos, j in enumerate(trace.event_ids):
+        times = sorted(hit_times[j].values())
+        if len(times) < k:
+            gammas[pos] = math.inf
+            infeasible.append(j)
+        else:
+            gammas[pos] = times[k - 1]
+
+    if infeasible:
+        return CostBreakdown(
+            comm=comm,
+            latency=math.inf,
+            total=math.inf,
+            infeasible_events=tuple(infeasible),
+        )
+
+    row_sums = trace.weights.sum(axis=1)
+    latency = float(np.dot(row_sums, gammas - trace.times))
+
+    total = rho * comm + (1.0 - rho) * latency
+    return CostBreakdown(comm=comm, latency=latency, total=total)
 
 
 def segment_partitions(m: int):
@@ -398,7 +459,7 @@ class _FullScanNetEngine(_Engine):
                 merged |= origins
                 if len(merged) >= self.k and row in self.pend[r]:
                     self._remove(r, row, t)
-        return tuple(self.trace.event_ids[r] for r in sorted(fwd_ids))
+        return sorted(fwd_ids)
 
 
 def full_scan_net(

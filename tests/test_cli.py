@@ -3,6 +3,8 @@ and exit codes."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,32 @@ def test_sweep_non_integer_counts_exit_one(capsys, tmp_path):
         )
         assert code == 1, entry
         assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("avg_degree", "x", "avg_degree must be a number"),
+        ("scenario", 5, "scenario must be a string"),
+        ("rho", ["a"], "rho values must be numbers"),
+        ("perturb_pct", "x", "perturb_pct must be a number"),
+        ("theta", "x", "theta must be a number"),
+    ],
+)
+def test_sweep_wrongly_typed_config_names_the_key(
+    capsys, tmp_path, key, value, message
+):
+    config = {
+        "scenario": "SPU", "mode": "none", "N": [4], "K": [1], "rho": [0.5],
+    }
+    config[key] = value
+    cfg = write_config(tmp_path, json.dumps(config))
+    code, _, err = run_cli(
+        capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+        "--workers", "1",
+    )
+    assert code == 1
+    assert f"error: {message}" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------- exit status

@@ -380,6 +380,81 @@ def test_evaluate_matches_naive_on_random_instances():
             assert mine.total == pytest.approx(ref, abs=1e-9)
 
 
+def test_one_system_counts_once_toward_k():
+    # K counts distinct observers: system 0 reporting event 0 twice, or
+    # carrying it twice in one report, is still one observer
+    tr = make_trace([1.0], [[1.0, 1.0]])
+    twice = ReportSchedule(((Report(2.0, (0,)), Report(3.0, (0,))), ()))
+    out = evaluate(twice, tr, 2, 0.5, UnityCost())
+    assert out.comm == 2.0
+    assert out.infeasible_events == (0,)
+    assert out.total == math.inf
+    assert oracles.naive_gamma(twice, tr, 0, 2) == math.inf
+    # with K=1 the earlier of the two reports delivers it
+    assert evaluate(twice, tr, 1, 0.5, UnityCost()).latency == 2.0
+    for doubled in (Report(2.0, (0, 0)), Report(2.0, (0,), (0,))):
+        sched = ReportSchedule(((doubled,), ()))
+        with pytest.raises(ValidationError, match="carries event 0 twice"):
+            evaluate(sched, tr, 2, 0.5, UnityCost())
+
+
+def random_schedule(rng, trace):
+    """Reports at random times that originate random subsets of the
+    sender's observations (an event may recur in later reports of the same
+    system) and forward random ids; some events are never reported."""
+    per = []
+    times = trace.times
+    for i in range(trace.n_systems):
+        reports = []
+        t = float(times[0])
+        for _ in range(int(rng.integers(0, 5))):
+            t += float(rng.choice([0.0, 0.3, 1.0, 2.5])) + 0.01
+            due = [r for r in range(trace.n_events) if times[r] <= t]
+            pick = rng.uniform(size=len(due))
+            orig = tuple(
+                trace.event_ids[r]
+                for r, u in zip(due, pick)
+                if u < 0.6 and trace.weights[r][i] > 0
+            )
+            fwd = tuple(
+                trace.event_ids[r]
+                for r, u in zip(due, pick)
+                if u > 0.8
+            )
+            reports.append(Report(t, orig, fwd))
+        per.append(tuple(reports))
+    return ReportSchedule(tuple(per))
+
+
+def test_evaluate_matches_loop_evaluator_bit_for_bit():
+    rng = np.random.default_rng(59)
+    feasible = 0
+    for _ in range(300):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 5))
+        weights = rng.uniform(0.0, 3.0, size=(m, n))
+        weights[rng.uniform(size=(m, n)) < 0.5] = 0.0  # sparse
+        start = float(rng.choice([0.0, 1e6 + 0.123]))
+        tr = EventTrace(
+            start + np.cumsum(rng.uniform(0.05, 1.5, size=m)),
+            weights,
+            [int(e) for e in rng.permutation(3 * m)[:m]],
+        )
+        sched = random_schedule(rng, tr)
+        k = int(rng.integers(1, n + 1))
+        rho = float(rng.uniform(0.1, 0.9))
+        for cost in COST_VARIANTS:
+            mine = evaluate(sched, tr, k, rho, cost)
+            ref = oracles.loop_evaluate(sched, tr, k, rho, cost)
+            assert mine.comm == ref.comm
+            assert mine.latency == ref.latency
+            assert mine.total == ref.total
+            assert mine.infeasible_events == ref.infeasible_events
+            feasible += mine.feasible
+    # both branches are exercised
+    assert 0 < feasible < 300 * len(COST_VARIANTS)
+
+
 def test_evaluate_permutation_symmetry():
     rng = np.random.default_rng(31)
     for _ in range(25):

@@ -339,15 +339,33 @@ def test_net_equals_itc_on_complete_graph():
 
 
 def test_net_equals_thb_on_empty_graph():
+    # the thb march against the engine with nobody to hear a report,
+    # also at large absolute times
     rng = np.random.default_rng(107)
     for _ in range(40):
         tr, k = feasible_instance(rng)
         pol = ThresholdPolicy(float(rng.uniform(0.1, 1.5)))
-        thb = run_thb(tr, pol, k, LogCost())
-        net = run_net(
-            tr, pol, k, LogCost(), CommGraph.empty(tr.n_systems)
-        )
-        assert thb == net
+        shifted = EventTrace(tr.times + 1e6, tr.weights, tr.event_ids)
+        for trace in (tr, shifted):
+            for cost in (LogCost(), UnityCost()):
+                thb = run_thb(trace, pol, k, cost)
+                net = run_net(
+                    trace, pol, k, cost, CommGraph.empty(tr.n_systems)
+                )
+                assert thb == net
+
+
+def test_thb_crossing_tied_with_next_arrival_waits_for_it():
+    # system 0 crosses at exactly t=1, the instant event 1 arrives: the
+    # arrival comes first, so one report at t=1 carries both events
+    tr = EventTrace([0.0, 1.0, 5.0], [[1.0, 0.5], [1.0, 0.0], [0.0, 1.0]])
+    pol = ThresholdPolicy(1.0)
+    s = run_thb(tr, pol, 1, UnityCost())
+    assert s.per_system == (
+        (Report(1.0, (0, 1)),),
+        (Report(2.0, (0,)), Report(6.0, (2,))),
+    )
+    assert s == run_net(tr, pol, 1, UnityCost(), CommGraph.empty(2))
 
 
 def test_same_instant_cascade_after_removal():
@@ -544,7 +562,7 @@ def test_engine_is_freed_without_the_cycle_collector():
     g = CommGraph.complete(2).with_roles([Role.FORWARD, Role.WITHHOLD])
     gc.disable()
     try:
-        for sharing in ({}, {"full": True}, {"graph": g}):
+        for sharing in ({}, {"graph": g}):
             engine = _Engine(tr, ThresholdPolicy(0.5), 1, UnityCost(), **sharing)
             engine.run()
             ref = weakref.ref(engine)
