@@ -69,9 +69,7 @@ class EventTrace:
     weights nonnegative and finite.
     """
 
-    __slots__ = (
-        "times", "weights", "event_ids", "_id_to_index", "_ids", "_by_id"
-    )
+    __slots__ = ("times", "weights", "event_ids", "_ids", "_by_id")
 
     def __init__(
         self,
@@ -111,27 +109,25 @@ class EventTrace:
             ids = tuple(int(e) for e in event_ids)
             if len(ids) != t.shape[0]:
                 raise ValidationError("event_ids length must match times")
-        index: dict[int, int] = {}
-        for row, e in enumerate(ids):
-            if index.setdefault(e, row) != row:
-                raise _RowError(f"duplicate event id {e}", row)
         try:
             id_array = np.array(ids, dtype=np.int64)
         except OverflowError:
             raise ValidationError("event ids must fit in 64 bits") from None
+        # rows sorted by id (stable, so a repeated id lists its rows in order)
+        by_id = np.argsort(id_array, kind="stable")
+        repeat = by_id[1:][id_array[by_id[1:]] == id_array[by_id[:-1]]]
+        if repeat.size:
+            row = int(repeat.min())
+            raise _RowError(f"duplicate event id {ids[row]}", row)
         t = t.copy()
         w = w.copy()
-        t.setflags(write=False)
-        w.setflags(write=False)
-        id_array.setflags(write=False)
+        for a in (t, w, id_array, by_id):
+            a.setflags(write=False)
         self.times = t
         self.weights = w
         self.event_ids = ids
-        self._id_to_index = index
         self._ids = id_array
-        # rows sorted by id, for vectorized lookups; None when ids are rows
-        identity = np.array_equal(id_array, np.arange(id_array.size))
-        self._by_id = None if identity else np.argsort(id_array, kind="stable")
+        self._by_id = by_id
 
     @property
     def n_events(self) -> int:
@@ -145,23 +141,17 @@ class EventTrace:
         return self.n_events
 
     def index_of(self, event_id: int) -> int:
-        try:
-            return self._id_to_index[event_id]
-        except KeyError:
-            raise ValidationError(f"unknown event id {event_id!r}") from None
+        return int(self.rows_of(np.array([event_id], dtype=np.int64))[0])
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Rows of an int64 array of event ids; `index_of` over an array."""
-        if self._by_id is None:
-            bad = (ids < 0) | (ids >= self.n_events)
-            rows = ids
-        else:
-            pos = np.searchsorted(self._ids, ids, sorter=self._by_id)
-            rows = self._by_id[np.minimum(pos, self.n_events - 1)]
-            bad = pos >= self.n_events
-            bad[~bad] = self._ids[rows[~bad]] != ids[~bad]
-        if bad.any():
-            bad_id = int(ids[np.argmax(bad)])
+        pos = np.searchsorted(self._ids, ids, sorter=self._by_id)
+        found = pos < self.n_events
+        rows = np.zeros_like(pos)
+        rows[found] = self._by_id[pos[found]]
+        found[found] = self._ids[rows[found]] == ids[found]
+        if not found.all():
+            bad_id = int(ids[np.argmin(found)])
             raise ValidationError(f"unknown event id {bad_id!r}")
         return rows
 
@@ -275,11 +265,23 @@ class CommCost:
     All variants in scope depend on the set only through the sum of its
     weights, are positive, non-decreasing, and subadditive. An empty set
     costs the value at total weight zero, the variant's minimum. Each
-    variant also provides `of_total_array`, the same map over an array.
+    variant also provides `of_total_array`, the same map over an array,
+    which may round differently from `of_total`.
     """
 
     def of_total(self, total_weight: float) -> float:
         raise NotImplementedError
+
+    def of_totals(self, totals: np.ndarray) -> np.ndarray:
+        """`of_total` of every entry, equal to the scalar calls bit for bit."""
+        return np.array([self.of_total(x) for x in totals.tolist()])
+
+    def of_reports(
+        self, report: np.ndarray, weights: np.ndarray, n_reports: int
+    ) -> np.ndarray:
+        """Cost of each of `n_reports` reports from (report, weight) pairs
+        sorted by report; each report's weights are added left to right."""
+        return self.of_totals(_report_totals(report, weights, n_reports))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -293,6 +295,13 @@ class UnityCost(CommCost):
 
     def of_total_array(self, totals: np.ndarray) -> np.ndarray:
         return np.ones_like(totals)
+
+    of_totals = of_total_array  # exact: every entry is 1.0
+
+    def of_reports(
+        self, report: np.ndarray, weights: np.ndarray, n_reports: int
+    ) -> np.ndarray:
+        return np.ones(n_reports)
 
 
 @dataclass(frozen=True, repr=False)
@@ -355,7 +364,6 @@ class ReportSchedule:
         "n_systems", "system", "time", "orig_report", "orig_id", "fwd_report",
         "fwd_id",
     )
-    _DTYPES = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
 
     def __init__(self, per_system: Sequence[Sequence[Report]]):
         system: list[int] = []
@@ -374,24 +382,40 @@ class ReportSchedule:
                 fwd_report += [r] * len(rep.forwarded_ids)
                 fwd_id += rep.forwarded_ids
         self._set(
-            len(per_system), system, time, orig_report, orig_id, fwd_report,
-            fwd_id,
+            len(per_system), system, time, (orig_report, orig_id),
+            (fwd_report, fwd_id),
         )
 
     @classmethod
-    def from_columns(cls, n_systems: int, *columns) -> "ReportSchedule":
-        """Wrap `system, time, orig_report, orig_id, fwd_report, fwd_id`
-        columns that already keep the order above."""
+    def from_fired(
+        cls, n_systems: int, system, time, orig, fwd=((), ())
+    ) -> "ReportSchedule":
+        """Build from reports listed in firing order.
+
+        `system` and `time` give each report, and `orig` and `fwd` are
+        (report, event id) column pairs numbering reports in that order,
+        with each report's ids in position order.
+        """
         self = cls.__new__(cls)
-        self._set(n_systems, *columns)
+        self._set(n_systems, system, time, orig, fwd)
         return self
 
-    def _set(self, n_systems: int, *columns) -> None:
+    def _set(self, n_systems: int, system, time, *pairs) -> None:
+        """Store the columns, stable-sorting reports by system and pairs by
+        their renumbered report: the order every reader relies on."""
+        system = np.asarray(system, dtype=np.int64)
+        order = np.argsort(system, kind="stable")
+        new_index = np.empty_like(order)
+        new_index[order] = np.arange(order.size)
+        columns = [system[order], np.asarray(time, dtype=np.float64)[order]]
+        for report, ids in pairs:
+            report = new_index[np.asarray(report, dtype=np.int64)]
+            by_report = np.argsort(report, kind="stable")
+            columns += [report[by_report], np.asarray(ids, np.int64)[by_report]]
         self.n_systems = n_systems
-        for name, col, dtype in zip(self.__slots__[1:], columns, self._DTYPES):
-            a = np.asarray(col, dtype=dtype)
-            a.setflags(write=False)
-            setattr(self, name, a)
+        for name, col in zip(self.__slots__[1:], columns):
+            col.setflags(write=False)
+            setattr(self, name, col)
 
     @property
     def per_system(self) -> tuple[tuple[Report, ...], ...]:
@@ -540,24 +564,20 @@ def evaluate(
     if not 1 <= k <= trace.n_systems:
         raise ValidationError(f"K must be in [1, {trace.n_systems}], got {k}")
     rows, systems, w = schedule._checked(trace)
-    m, n = trace.n_events, trace.n_systems
+    m = trace.n_events
 
     # Report costs are summed left to right in (system, report) order.
     n_reports = schedule.total_reports()
-    if isinstance(cost_fn, UnityCost):
-        comm = float(n_reports)
-    elif n_reports:
-        totals = _report_totals(schedule.orig_report, w, n_reports)
-        costs = [cost_fn.of_total(x) for x in totals.tolist()]
-        comm = float(np.cumsum(costs)[-1])
-    else:
-        comm = 0.0
+    costs = cost_fn.of_reports(schedule.orig_report, w, n_reports)
+    comm = float(np.cumsum(costs)[-1]) if n_reports else 0.0
 
     # Delivery: one hit per (row, system), at the system's earliest report
-    # of the row (the first pair, as each system's reports rise in time).
+    # of the row. Pairs are in (system, time) order, so (system, row) keys
+    # rise strictly unless a system reports a row twice, and then the
+    # first pair of a key is that system's earliest.
     times = schedule.time[schedule.orig_report]
-    key = rows * n + systems
-    if np.bincount(key, minlength=m * n).max(initial=0) > 1:
+    key = systems * m + rows
+    if (np.diff(key) <= 0).any():
         first = np.zeros(key.size, dtype=bool)
         first[np.unique(key, return_index=True)[1]] = True
         rows, times = rows[first], times[first]

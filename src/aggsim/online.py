@@ -31,7 +31,6 @@ from aggsim.model import (
     CommCost,
     EventTrace,
     ReportSchedule,
-    UnityCost,
     ValidationError,
 )
 
@@ -150,7 +149,7 @@ class _Engine:
     that share nothing need no engine (`run_thb`).
 
     Reports are written in firing order as columns (system, time, and the
-    rows each originates and forwards), then put in (system, time) order.
+    rows each originates and forwards) for `ReportSchedule.from_fired`.
 
     Graph-limited mode adds a `known` table per node, mapping event rows to
     the systems known to have reported them. A forward node keeps its whole
@@ -381,21 +380,20 @@ class _Engine:
         return self._schedule()
 
     def _schedule(self) -> ReportSchedule:
-        """The fired reports, put in (system, time) order."""
-        system = np.array(self.fired_system, dtype=np.int64)
-        order = np.argsort(system, kind="stable")
-        new_index = np.empty_like(order)
-        new_index[order] = np.arange(order.size)
-        columns = [system[order], np.array(self.fired_time)[order]]
-        for rows, lens in (
-            (self.orig_rows, self.orig_len),
-            (self.fwd_rows, self.fwd_len),
-        ):
-            report = np.repeat(new_index, lens)
-            by_report = np.argsort(report, kind="stable")
-            rows = np.array(rows, dtype=np.int64)[by_report]
-            columns += [report[by_report], self.trace.ids_of(rows)]
-        return ReportSchedule.from_columns(self.n, *columns)
+        ids_of = self.trace.ids_of
+        pairs = [
+            (
+                np.repeat(np.arange(len(lens)), lens),
+                ids_of(np.array(rows, dtype=np.int64)),
+            )
+            for rows, lens in (
+                (self.orig_rows, self.orig_len),
+                (self.fwd_rows, self.fwd_len),
+            )
+        ]
+        return ReportSchedule.from_fired(
+            self.n, self.fired_system, self.fired_time, *pairs
+        )
 
 
 def _check_k(k: int, n: int) -> None:
@@ -429,21 +427,23 @@ def run_thb(
     observed = trace.weights > 0
     obs_row, obs_sys = np.nonzero(observed)
     obs_w = trace.weights[observed]
+    obs_wt = obs_w * trace.times[obs_row]
     cuts = np.searchsorted(obs_row, np.arange(m + 1)).tolist()
     theta = policy.theta
-    unity = isinstance(cost_fn, UnityCost)
 
     acc_w = np.zeros(n)
     acc_wt = np.zeros(n)
     cross = np.full(n, math.inf)  # inf: nothing pending, or never crosses
     fired_system: list[np.ndarray] = []
     fired_time: list[np.ndarray] = []
-    fired_step: list[np.ndarray] = []
+    fired_step: list[int] = []
+    fired_count: list[int] = []
 
     def fire(due: np.ndarray, step: int) -> None:
         fired_system.append(due)
         fired_time.append(cross[due])
-        fired_step.append(np.full(due.size, step))
+        fired_step.append(step)
+        fired_count.append(due.size)
         acc_w[due] = 0.0
         acc_wt[due] = 0.0
         cross[due] = math.inf
@@ -455,40 +455,35 @@ def run_thb(
             due = np.flatnonzero(cross < t)
             if due.size:
                 fire(due, row)
-            seen_by = obs_sys[cuts[row]:cuts[row + 1]]
-            w = obs_w[cuts[row]:cuts[row + 1]]
-            acc_w[seen_by] += w
-            acc_wt[seen_by] += w * t
-            pend_w = acc_w[seen_by]
-            if unity:
-                target = theta
-            else:
-                costs = [cost_fn.of_total(x) for x in pend_w.tolist()]
-                target = theta * np.array(costs)
-            cross[seen_by] = np.maximum((target + acc_wt[seen_by]) / pend_w, t)
+            a, b = cuts[row], cuts[row + 1]
+            seen_by = obs_sys[a:b]
+            pend_w = acc_w[seen_by] + obs_w[a:b]
+            pend_wt = acc_wt[seen_by] + obs_wt[a:b]
+            acc_w[seen_by] = pend_w
+            acc_wt[seen_by] = pend_wt
+            target = theta * cost_fn.of_totals(pend_w)
+            cross[seen_by] = np.maximum((target + pend_wt) / pend_w, t)
     fire(np.flatnonzero(cross < math.inf), m)
 
-    # Reports in (system, step) order; observation (i, r) rides in the
-    # first report i fires at a step after r.
+    # Observation (i, r) rides in the first report i fires at a step after
+    # r: search it among the reports in (system, step) order.
     system = np.concatenate(fired_system)
-    step = np.concatenate(fired_step)
-    order = np.lexsort((step, system))
-    system = system[order]
+    step = np.repeat(fired_step, fired_count)
+    order = np.argsort(system, kind="stable")
     col_sys, col_row = np.nonzero(observed.T)
-    report = np.searchsorted(
-        system * (m + 1) + step[order], col_sys * (m + 1) + col_row, "right"
+    pos = np.searchsorted(
+        system[order] * (m + 1) + step[order],
+        col_sys * (m + 1) + col_row,
+        "right",
     )
     # a pending set whose crossing overflows to inf is never reported
-    kept = report < system.size
-    kept[kept] = system[report[kept]] == col_sys[kept]
-    return ReportSchedule.from_columns(
+    kept = pos < system.size
+    kept[kept] = system[order[pos[kept]]] == col_sys[kept]
+    return ReportSchedule.from_fired(
         n,
         system,
-        np.concatenate(fired_time)[order],
-        report[kept],
-        trace.ids_of(col_row[kept]),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
+        np.concatenate(fired_time),
+        (order[pos[kept]], trace.ids_of(col_row[kept])),
     )
 
 

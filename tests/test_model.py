@@ -38,6 +38,12 @@ def test_trace_basic_accessors():
     assert tr.time_of(7) == 1.0
     assert tr.weight(1, 9) == 2.0
     assert len(tr) == 2
+    assert tr.rows_of(np.array([9, 7, 9])).tolist() == [1, 0, 1]
+    for unknown in (8, 6, 10):
+        with pytest.raises(ValidationError, match=f"unknown event id {unknown}"):
+            tr.index_of(unknown)
+    with pytest.raises(ValidationError, match="unknown event id 0"):
+        make_trace([], np.zeros((0, 2))).index_of(0)
 
 
 def test_trace_validation():
@@ -153,6 +159,24 @@ def test_log_cost_values():
         LogCost(offset=1.5)
 
 
+@pytest.mark.parametrize("cost_fn", [UnityCost(), LogCost(), LogCost(3.5)])
+def test_array_costs_equal_scalar_calls(cost_fn):
+    rng = np.random.default_rng(5)
+    totals = rng.exponential(3.0, size=200)
+    assert cost_fn.of_totals(totals).tolist() == [
+        cost_fn.of_total(x) for x in totals.tolist()
+    ]
+    # 40 reports, some empty, weights summed left to right per report
+    report = np.sort(rng.integers(0, 40, size=150))
+    weights = rng.exponential(1.0, size=150)
+    sums = [0.0] * 40
+    for r, x in zip(report.tolist(), weights.tolist()):
+        sums[r] += x
+    assert cost_fn.of_reports(report, weights, 40).tolist() == [
+        cost_fn.of_total(x) for x in sums
+    ]
+
+
 def test_parse_cost():
     assert isinstance(parse_cost("U"), UnityCost)
     assert isinstance(parse_cost("unity"), UnityCost)
@@ -244,6 +268,23 @@ def test_gamma_input_errors():
     sched = ReportSchedule(((Report(1.0, (0,)),),))
     with pytest.raises(ValidationError):
         evaluate(sched, tr, 2, 0.5, UnityCost())
+
+
+def test_from_fired_puts_reports_in_system_order():
+    # firing order interleaves the systems; pairs arrive out of report order
+    sched = ReportSchedule.from_fired(
+        2,
+        [1, 0, 1, 0],
+        [1.0, 2.0, 3.0, 4.0],
+        ([3, 0, 1, 0, 2], [9, 5, 7, 6, 8]),
+        ([2, 2], [1, 3]),
+    )
+    assert sched == ReportSchedule(
+        (
+            (Report(2.0, (7,)), Report(4.0, (9,))),
+            (Report(1.0, (5, 6)), Report(3.0, (8,), (1, 3))),
+        )
+    )
 
 
 def seeded_instance(rng, n_events=None, n_systems=None):
