@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .graph import (
     CommGraph,
     GenerationError,
@@ -134,11 +136,18 @@ def _load_graph_with_roles(path: str, n: int) -> CommGraph:
 
 
 def _schedule_csv(schedule: ReportSchedule) -> str:
+    """One line per report in (system, time) order, with its index among
+    the system's reports and the ids it originates."""
+    system = schedule.system
+    first = np.searchsorted(system, system).tolist()
+    cuts = np.searchsorted(
+        schedule.orig_report, np.arange(system.size + 1)
+    ).tolist()
+    ids = [str(j) for j in schedule.orig_id.tolist()]
     lines = ["system,report_index,time,event_ids"]
-    for i, reports in enumerate(schedule.per_system):
-        for idx, rep in enumerate(reports):
-            ids = ";".join(str(j) for j in rep.event_ids)
-            lines.append(f"{i},{idx},{repr(rep.time)},{ids}")
+    for r, (i, t) in enumerate(zip(system.tolist(), schedule.time.tolist())):
+        ids_r = ";".join(ids[cuts[r] : cuts[r + 1]])
+        lines.append(f"{i},{r - first[r]},{t!r},{ids_r}")
     return "\n".join(lines) + "\n"
 
 

@@ -114,6 +114,9 @@ class ScenarioConfig:
             )
         if any(t is not None and t <= 0 for t in self.theta_values):
             raise ConfigError("theta overrides must be positive")
+        for t in self.theta_values:
+            if t is not None and not t < math.inf:  # inf or NaN
+                raise ConfigError(f"theta must be finite, got {t}")
         if not _is_int(self.runs) or self.runs < 1:
             raise ConfigError("runs must be an integer >= 1")
         if not _is_int(self.n_events) or self.n_events < 1:
@@ -125,6 +128,8 @@ class ScenarioConfig:
             raise ConfigError("perturb_pct must be a number in [0, 1]")
         if not _is_real(self.avg_degree) or self.avg_degree < 0:
             raise ConfigError("avg_degree must be a number >= 0")
+        if not self.avg_degree < math.inf:  # inf or NaN
+            raise ConfigError(f"avg_degree must be finite, got {self.avg_degree}")
 
     @property
     def points(self) -> list[tuple[int, int, float, float | None]]:
@@ -350,26 +355,27 @@ def _error_row(
     )
 
 
-def _run_point(args: tuple[ScenarioConfig, int]) -> list[ResultRow]:
-    cfg, point_idx = args
-    n, k, rho, theta = cfg.points[point_idx]
+def _point_error(cfg: ScenarioConfig, n: int, k: int) -> str | None:
+    """Why no repetition of a sweep point can run, or None."""
     if k > n:
-        return [_error_row(cfg, n, k, rho, theta, None, f"K={k} exceeds N={n}")]
+        return f"K={k} exceeds N={n}"
     if cfg.mode in ("n1", "n2") and cfg.avg_degree >= n:
-        return [
-            _error_row(
-                cfg, n, k, rho, theta, None,
-                f"avg_degree={cfg.avg_degree} not below N={n}",
-            )
-        ]
-    rows = []
-    for rep in range(cfg.runs):
-        try:
-            rows.append(_run_rep(cfg, point_idx, rep, n, k, rho, theta))
-        except (ValidationError, GenerationError) as exc:
-            seed, _ = _seed_pair(cfg.seed, point_idx, rep)
-            rows.append(_error_row(cfg, n, k, rho, theta, seed, str(exc)))
-    return rows
+        return f"avg_degree={cfg.avg_degree} not below N={n}"
+    return None
+
+
+def _run_unit(args: tuple[ScenarioConfig, int, int]) -> ResultRow:
+    """One repetition of one sweep point, or the point's error row."""
+    cfg, point_idx, rep = args
+    n, k, rho, theta = cfg.points[point_idx]
+    message = _point_error(cfg, n, k)
+    if message is not None:
+        return _error_row(cfg, n, k, rho, theta, None, message)
+    try:
+        return _run_rep(cfg, point_idx, rep, n, k, rho, theta)
+    except (ValidationError, GenerationError) as exc:
+        seed, _ = _seed_pair(cfg.seed, point_idx, rep)
+        return _error_row(cfg, n, k, rho, theta, seed, str(exc))
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -387,18 +393,24 @@ def run_scenario(
 ) -> list[ResultRow]:
     """Execute every sweep point x seed and return sorted result rows.
 
-    Points are independent units; worker count never changes the result.
+    Each (point, repetition) pair is one unit, seeded from (cfg.seed,
+    point, repetition) alone; a point that cannot run is one unit giving
+    its error row. Units are listed point-major and `pool.map` keeps that
+    order, so the worker count never changes the result.
     """
     n_workers = worker_count(workers)
-    units = [(cfg, idx) for idx in range(len(cfg.points))]
+    units = [
+        (cfg, idx, rep)
+        for idx, (n, k, _, _) in enumerate(cfg.points)
+        for rep in range(1 if _point_error(cfg, n, k) else cfg.runs)
+    ]
     if n_workers == 1 or len(units) == 1:
-        chunks = [_run_point(u) for u in units]
+        rows = [_run_unit(u) for u in units]
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(n_workers, len(units))
         ) as pool:
-            chunks = list(pool.map(_run_point, units))
-    rows = [row for chunk in chunks for row in chunk]
+            rows = list(pool.map(_run_unit, units))
     rows.sort(
         key=lambda r: (
             r.scenario_code,

@@ -143,6 +143,14 @@ class _Engine:
     time in priority order; every fire updates shared counts before the
     next candidate is examined, which realizes same-instant cascades.
 
+    Cost model: each event row's observers and weights are read once, as
+    Python lists, and each observer pushes one heap entry. A fire pushes
+    one entry per system whose pending set it shrank (`touched`), after
+    the report has reached everyone who hears it, instead of one per
+    removed event. Only the last push of a system between two pops can be
+    current, and current keys (time, rank, system, version) are unique, so
+    the fire order and every float are those of pushing on each change.
+
     The sharing rule is fixed at construction: with no graph, a report is
     heard by everyone and an event leaves every pending set once it has K
     reports; with a graph, reports reach neighbors only (below). Systems
@@ -187,6 +195,8 @@ class _Engine:
         self.fwd_rows: list[int] = []
         self.fwd_len: list[int] = []
         self.heap: list[tuple[float, int, int, int]] = []
+        self.times: list[float] = trace.times.tolist()
+        self.touched: set[int] = set()
 
         pri = tuple(range(n)) if priority is None else tuple(priority)
         if sorted(pri) != list(range(n)):
@@ -215,9 +225,10 @@ class _Engine:
     # -- per-system trigger bookkeeping
 
     def _push(self, i: int) -> None:
-        """Schedule i's next crossing: the earliest t >= floor at which
-        sum w * (t - t_e) over i's pending events reaches theta times the
-        cost of the report i would send."""
+        """Replace i's heap entry by its next crossing: the earliest
+        t >= floor at which sum w * (t - t_e) over i's pending events
+        reaches theta times the cost of the report i would send."""
+        self.version[i] += 1
         if not self.pend[i]:
             return
         target = self.policy.theta * self.cost_fn.of_total(self.acc_w[i])
@@ -226,26 +237,18 @@ class _Engine:
             t_star = self.floor[i]
         heapq.heappush(self.heap, (t_star, self.rank[i], i, self.version[i]))
 
-    def _add_arrival(self, i: int, row: int, t: float, w: float) -> None:
-        self.pend[i][row] = w
-        self.acc_w[i] += w
-        self.acc_wt[i] += w * t
-        self.floor[i] = t
-        self.version[i] += 1
-        self._push(i)
-
     def _remove(self, i: int, row: int, t: float) -> None:
-        """Drop a delivered event from i's pending set at instant t."""
+        """Drop a delivered event from i's pending set at instant t; the
+        firing report reschedules i once it has been heard everywhere."""
         w = self.pend[i].pop(row)
         self.acc_w[i] -= w
-        self.acc_wt[i] -= w * float(self.trace.times[row])
+        self.acc_wt[i] -= w * self.times[row]
         if not self.pend[i]:
             self.acc_w[i] = 0.0
             self.acc_wt[i] = 0.0
         if t > self.floor[i]:
             self.floor[i] = t
-        self.version[i] += 1
-        self._push(i)
+        self.touched.add(i)
 
     # -- firing and intercommunication
 
@@ -257,6 +260,9 @@ class _Engine:
         self.floor[i] = t
         self.version[i] += 1
         fwd = self._share(self, i, rows, t)
+        for r in self.touched:
+            self._push(r)
+        self.touched.clear()
         self.fired_system.append(i)
         self.fired_time.append(t)
         self.orig_rows += rows
@@ -368,14 +374,26 @@ class _Engine:
             self._fire(i, t_star)
 
     def run(self) -> ReportSchedule:
-        trace = self.trace
-        weights = trace.weights
-        times = trace.times
-        for row in range(trace.n_events):
-            t = float(times[row])
+        weights = self.trace.weights
+        theta = self.policy.theta
+        of_total = self.cost_fn.of_total
+        pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
+        floor, version, rank, heap = self.floor, self.version, self.rank, self.heap
+        for row, t in enumerate(self.times):
             self._drain(t)
-            for i in np.nonzero(weights[row] > 0)[0]:
-                self._add_arrival(int(i), row, t, float(weights[row][int(i)]))
+            w_row = weights[row]
+            seen_by = np.flatnonzero(w_row > 0)
+            # arrivals in system order; the crossing is _push's, inlined
+            for i, w in zip(seen_by.tolist(), w_row[seen_by].tolist()):
+                pend[i][row] = w
+                aw = acc_w[i] = acc_w[i] + w
+                awt = acc_wt[i] = acc_wt[i] + w * t
+                floor[i] = t
+                version[i] += 1
+                t_star = (theta * of_total(aw) + awt) / aw
+                if t_star < t:
+                    t_star = t
+                heapq.heappush(heap, (t_star, rank[i], i, version[i]))
         self._drain(math.inf)
         return self._schedule()
 

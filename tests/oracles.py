@@ -7,22 +7,28 @@ beyond the public data types and the scalar cost callables, so agreement
 between the two routes is meaningful. `loop_evaluate` is the evaluator as a
 loop over `Report` objects; the columnar `evaluate` must match it bit for
 bit.
-Two references keep the library's own code paths instead: `full_scan_net`
+Three references keep the library's own code paths instead: `full_scan_net`
 reuses the trigger engine's event loop and replaces only graph-limited
-forwarding, and `full_dp_offline` is the segment DP scanning every start at
-every close, which the windowed oracle must match bit for bit.
+forwarding, `reference_itc` and `reference_net` run the trigger engine as
+it was before its lean bookkeeping (a heap push on every change of a
+pending set), and `full_dp_offline` is the segment DP scanning every start
+at every close, which the windowed oracle must match bit for bit.
+`report_schedule_csv` writes the `aggsim run --out` schedule CSV from
+`Report` objects, to pin the bytes of the columnar writer.
 `k1_schedule` turns a DP table's segment choices into a K=1 schedule, so
 tests can score the partition the oracle's value stands for.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
-from aggsim.graph import CommGraph
+from aggsim.graph import CommGraph, Role
 from aggsim.model import (
     CommCost,
     CostBreakdown,
@@ -471,3 +477,283 @@ def full_scan_net(
 ) -> ReportSchedule:
     """Reference for `run_net`: forwarding by rescanning full tables."""
     return _FullScanNetEngine(trace, policy, k, cost_fn, graph).run()
+
+
+class _ReferenceEngine:
+    """The trigger engine as it was before its lean bookkeeping.
+
+    It pushes a heap entry on every arrival and on every removal and reads
+    each arrival's weight through a numpy scalar. `_Engine` must produce
+    the same schedule, bit for bit, with one entry per observer per row
+    and one per touched system per fire.
+    """
+
+    def __init__(
+        self,
+        trace: EventTrace,
+        policy: ThresholdPolicy,
+        k: int,
+        cost_fn: CommCost,
+        graph: CommGraph | None = None,
+        priority: Sequence[int] | None = None,
+    ):
+        n = trace.n_systems
+        if not 1 <= k <= n:
+            raise ValidationError(f"K must be in [1, {n}], got {k}")
+        self.trace = trace
+        self.policy = policy
+        self.k = k
+        self.cost_fn = cost_fn
+        self.n = n
+
+        self.pend: list[dict[int, float]] = [dict() for _ in range(n)]
+        self.acc_w = [0.0] * n
+        self.acc_wt = [0.0] * n
+        self.floor = [0.0] * n
+        self.version = [0] * n
+        self.fired_system: list[int] = []
+        self.fired_time: list[float] = []
+        self.orig_rows: list[int] = []
+        self.orig_len: list[int] = []
+        self.fwd_rows: list[int] = []
+        self.fwd_len: list[int] = []
+        self.heap: list[tuple[float, int, int, int]] = []
+
+        pri = tuple(range(n)) if priority is None else tuple(priority)
+        if sorted(pri) != list(range(n)):
+            raise ValidationError(f"priority must be a permutation of 0..{n - 1}")
+        self.rank = [0] * n
+        for pos, i in enumerate(pri):
+            self.rank[i] = pos
+
+        # _share(self, i, rows, t) tells the others about i's report of
+        # `rows` at t and returns the rows i forwards with it. It is stored
+        # unbound: a bound method would put the engine in a reference cycle
+        # and keep its tables alive after run() until the cycle collector.
+        if graph is not None:
+            if graph.n != n:
+                raise ValidationError(f"graph has {graph.n} nodes for {n} systems")
+            self.known: list[dict[int, set[int]]] = [dict() for _ in range(n)]
+            self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
+            self.dirty: list[set[int]] = [set() for _ in range(n)]
+            self.neighbors = [sorted(graph.neighbors(i)) for i in range(n)]
+            self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
+            self._share = type(self)._propagate_net
+        else:
+            self.cnt = [0] * trace.n_events
+            self._share = type(self)._share_full
+
+    # -- per-system trigger bookkeeping
+
+    def _push(self, i: int) -> None:
+        """Schedule i's next crossing: the earliest t >= floor at which
+        sum w * (t - t_e) over i's pending events reaches theta times the
+        cost of the report i would send."""
+        if not self.pend[i]:
+            return
+        target = self.policy.theta * self.cost_fn.of_total(self.acc_w[i])
+        t_star = (target + self.acc_wt[i]) / self.acc_w[i]
+        if t_star < self.floor[i]:
+            t_star = self.floor[i]
+        heapq.heappush(self.heap, (t_star, self.rank[i], i, self.version[i]))
+
+    def _add_arrival(self, i: int, row: int, t: float, w: float) -> None:
+        self.pend[i][row] = w
+        self.acc_w[i] += w
+        self.acc_wt[i] += w * t
+        self.floor[i] = t
+        self.version[i] += 1
+        self._push(i)
+
+    def _remove(self, i: int, row: int, t: float) -> None:
+        """Drop a delivered event from i's pending set at instant t."""
+        w = self.pend[i].pop(row)
+        self.acc_w[i] -= w
+        self.acc_wt[i] -= w * float(self.trace.times[row])
+        if not self.pend[i]:
+            self.acc_w[i] = 0.0
+            self.acc_wt[i] = 0.0
+        if t > self.floor[i]:
+            self.floor[i] = t
+        self.version[i] += 1
+        self._push(i)
+
+    # -- firing and intercommunication
+
+    def _fire(self, i: int, t: float) -> None:
+        rows = list(self.pend[i])
+        self.pend[i].clear()
+        self.acc_w[i] = 0.0
+        self.acc_wt[i] = 0.0
+        self.floor[i] = t
+        self.version[i] += 1
+        fwd = self._share(self, i, rows, t)
+        self.fired_system.append(i)
+        self.fired_time.append(t)
+        self.orig_rows += rows
+        self.orig_len.append(len(rows))
+        self.fwd_rows += fwd
+        self.fwd_len.append(len(fwd))
+
+    def _share_full(self, i: int, rows: list[int], t: float) -> tuple[()]:
+        """Everyone hears i; an event with K reports leaves every pending
+        set, in system order."""
+        pend = self.pend
+        for row in rows:
+            self.cnt[row] += 1
+            if self.cnt[row] == self.k:
+                for r in range(self.n):
+                    if row in pend[r]:
+                        self._remove(r, row, t)
+        return ()
+
+    def _propagate_net(
+        self, i: int, rows: list[int], t: float
+    ) -> list[int]:
+        """Share i's report with its neighbors; returns the forwarded rows.
+
+        The payload maps each event row to the reporting systems i can
+        vouch for: itself for rows it originates now and, when i has the
+        forward role, its known origins of those rows plus every dirty row.
+        Receivers merge the payload and drop pending events whose known
+        origin count reaches K.
+
+        A row is dirty at a forward node when its origin set there grew
+        since the node last forwarded it; first hearing of a row and
+        originating it both count as growth. Forwarding clears a row, so
+        each (event, origin-set size) pair is forwarded at most once and a
+        fire scans only dirty rows. They are visited in first-seen order
+        (the order of the whole table) because receivers call `_remove` in
+        payload order, which fixes the order of the float subtractions from
+        the running sums.
+
+        A withhold node reads its table only to test the origin count of a
+        pending row, and every observer of an event receives it before any
+        report can name it. So a withhold node merges only rows it has
+        pending and drops a row's set when the row leaves its pending set.
+        """
+        known_i = self.known[i]
+        fwd_rows: list[int] = []
+        if self.is_forward[i]:
+            seen_i, dirty_i = self.seen[i], self.dirty[i]
+            payload = {row: {i}.union(known_i.get(row, ())) for row in rows}
+            for row in sorted(dirty_i, key=seen_i.__getitem__):
+                if row not in payload:
+                    # shared, not copied: i is not its own neighbor, so
+                    # nothing changes this set while receivers read it
+                    payload[row] = known_i[row]
+                    fwd_rows.append(row)
+            dirty_i.clear()
+            for row in rows:
+                if row not in known_i:
+                    seen_i[row] = len(seen_i)
+                    known_i[row] = set()
+                known_i[row].add(i)
+                dirty_i.add(row)
+        else:
+            payload = {row: {i} for row in rows}
+            for row in rows:
+                known_i.pop(row, None)
+        k = self.k
+        for r in self.neighbors[i]:
+            known_r = self.known[r]
+            pend_r = self.pend[r]
+            if self.is_forward[r]:
+                seen_r, dirty_r = self.seen[r], self.dirty[r]
+                for row, origins in payload.items():
+                    merged = known_r.get(row)
+                    if merged is None:
+                        seen_r[row] = len(seen_r)
+                        merged = known_r[row] = set()
+                    size = len(merged)
+                    merged |= origins
+                    if len(merged) > size:
+                        dirty_r.add(row)
+                    if len(merged) >= k and row in pend_r:
+                        self._remove(r, row, t)
+            else:
+                for row, origins in payload.items():
+                    if row not in pend_r:
+                        continue
+                    merged = known_r.setdefault(row, set())
+                    merged |= origins
+                    if len(merged) >= k:
+                        del known_r[row]
+                        self._remove(r, row, t)
+        fwd_rows.sort()
+        return fwd_rows
+
+    # -- main loop
+
+    def _drain(self, until: float) -> None:
+        """Fire every crossing strictly before `until`, cascades included."""
+        heap = self.heap
+        while heap:
+            t_star, _, i, ver = heap[0]
+            if ver != self.version[i]:
+                heapq.heappop(heap)
+                continue
+            if t_star >= until:
+                break
+            heapq.heappop(heap)
+            self._fire(i, t_star)
+
+    def run(self) -> ReportSchedule:
+        trace = self.trace
+        weights = trace.weights
+        times = trace.times
+        for row in range(trace.n_events):
+            t = float(times[row])
+            self._drain(t)
+            for i in np.nonzero(weights[row] > 0)[0]:
+                self._add_arrival(int(i), row, t, float(weights[row][int(i)]))
+        self._drain(math.inf)
+        return self._schedule()
+
+    def _schedule(self) -> ReportSchedule:
+        ids_of = self.trace.ids_of
+        pairs = [
+            (
+                np.repeat(np.arange(len(lens)), lens),
+                ids_of(np.array(rows, dtype=np.int64)),
+            )
+            for rows, lens in (
+                (self.orig_rows, self.orig_len),
+                (self.fwd_rows, self.fwd_len),
+            )
+        ]
+        return ReportSchedule.from_fired(
+            self.n, self.fired_system, self.fired_time, *pairs
+        )
+
+
+def reference_itc(
+    trace: EventTrace,
+    policy: ThresholdPolicy,
+    k: int,
+    cost_fn: CommCost,
+    priority: Sequence[int] | None = None,
+) -> ReportSchedule:
+    """Reference for `run_itc`: a push on every change of a pending set."""
+    return _ReferenceEngine(trace, policy, k, cost_fn, priority=priority).run()
+
+
+def reference_net(
+    trace: EventTrace,
+    policy: ThresholdPolicy,
+    k: int,
+    cost_fn: CommCost,
+    graph: CommGraph,
+) -> ReportSchedule:
+    """Reference for `run_net`: a push on every change of a pending set."""
+    return _ReferenceEngine(trace, policy, k, cost_fn, graph=graph).run()
+
+
+def report_schedule_csv(schedule: ReportSchedule) -> str:
+    """The `aggsim run --out` schedule CSV, written from `Report` objects."""
+    lines = ["system,report_index,time,event_ids"]
+    for i, reports in enumerate(schedule.per_system):
+        for idx, rep in enumerate(reports):
+            ids = ";".join(str(j) for j in rep.event_ids)
+            lines.append(f"{i},{idx},{repr(rep.time)},{ids}")
+    return "\n".join(lines) + "\n"

@@ -8,10 +8,13 @@ import json
 import numpy as np
 import pytest
 
-from aggsim.cli import main
+from aggsim.cli import _schedule_csv, main
 from aggsim.graph import CommGraph, Role, compute_x, gen_udg, greedy_mis
-from aggsim.model import EventTrace
-from aggsim.online import threshold_full, threshold_none
+from aggsim.model import EventTrace, Report, ReportSchedule, UnityCost
+from aggsim.online import ThresholdPolicy, run_thb, threshold_full, threshold_none
+from aggsim.workload import BigEvents, PoissonArrivals, WorkloadSpec, gen_trace
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +120,35 @@ def test_run_writes_schedule_csv(capsys, tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert first[3] == "0;1"  # batched events are semicolon-joined
+
+
+def test_schedule_csv_matches_report_writer(capsys, tmp_path):
+    trace_path = tmp_path / "t.csv"
+    spec = WorkloadSpec(PoissonArrivals(), BigEvents(), 80, 5, 3)
+    gen_trace(spec, ensure_k=1).to_csv(trace_path)
+    out_path = tmp_path / "sched.csv"
+    code, _, _ = run_cli(
+        capsys, "run", "--alg", "thb", "--trace", str(trace_path),
+        "--theta", "20", "--out", str(out_path),
+    )
+    assert code == 0
+    sched = run_thb(
+        EventTrace.from_csv(str(trace_path)), ThresholdPolicy(20.0), 1,
+        UnityCost(),
+    )
+    assert out_path.read_text() == oracles.report_schedule_csv(sched)
+    # systems send several reports carrying several ids each
+    assert all(
+        len(reports) >= 2 and sum(len(r.event_ids) >= 2 for r in reports) >= 2
+        for reports in sched.per_system
+    )
+    # forwarded ids stay out of the file; a silent system writes no line
+    hand = ReportSchedule([
+        [Report(0.5, (3, 1), (4,)), Report(1.5, (2, 0, 5))],
+        [],
+        [Report(0.25, (7,)), Report(0.75, (), (6,)), Report(2.0, (8, 9))],
+    ])
+    assert _schedule_csv(hand) == oracles.report_schedule_csv(hand)
 
 
 def test_run_net_requires_matching_graph(capsys, tmp_path, two_event_csv):
@@ -325,6 +357,33 @@ def test_sweep_wrongly_typed_config_names_the_key(
     )
     assert code == 1
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('"mode": "none", "theta": NaN', "theta must be finite, got nan"),
+        ('"mode": "full", "theta": [0.5, Infinity]', "theta must be finite"),
+        ('"mode": "n1", "avg_degree": NaN', "avg_degree must be finite, got nan"),
+        ('"mode": "n2", "avg_degree": Infinity', "avg_degree must be finite"),
+    ],
+)
+def test_sweep_non_finite_config_value_names_the_key(
+    capsys, tmp_path, entry, message
+):
+    # json.loads accepts the NaN and Infinity literals
+    cfg = write_config(
+        tmp_path,
+        '{"scenario": "SPU", "N": [4], "K": [1], "rho": [0.5],'
+        ' "n_events": 20, %s}' % entry,
+    )
+    code, _, err = run_cli(
+        capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+        "--workers", "1",
+    )
+    assert code == 1
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ------------------------------------------------------------- exit status

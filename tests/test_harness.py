@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from aggsim import harness
 from aggsim.harness import (
     ConfigError,
     ResultRow,
@@ -340,6 +341,59 @@ def test_worker_pool_equivalence():
     assert rows_to_csv(run_scenario(cfg, workers=2)) == rows_to_csv(
         run_scenario(cfg, workers=1)
     )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # one point: its repetitions are the pool's units
+        dict(mode="n2", n_values=(30,), runs=3, n_events=200),
+        # error points (avg_degree >= N, then K > N) next to valid ones
+        dict(mode="n1", n_values=(4, 20), k_values=(1, 5), avg_degree=6.0),
+    ],
+)
+def test_pool_units_do_not_change_bytes(overrides):
+    cfg = small_cfg(**overrides)
+    rows = run_scenario(cfg, workers=1)
+    assert rows_to_csv(rows) == rows_to_csv(run_scenario(cfg, workers=2))
+    errors = [r.error for r in rows if r.error is not None]
+    assert len(errors) == len(set(errors))
+    if cfg.mode == "n1":
+        assert sorted(errors) == [
+            "K=5 exceeds N=4", "avg_degree=6.0 not below N=4"
+        ]
+        assert len(rows) == 2 + 2 * cfg.runs
+
+
+def test_pool_unit_is_point_and_repetition(monkeypatch):
+    mapped = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            units = list(units)
+            mapped.append((self.max_workers, [u[1:] for u in units]))
+            return map(fn, units)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(
+        harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+    )
+    run_scenario(small_cfg(runs=3), workers=4)
+    assert mapped == [(3, [(0, 0), (0, 1), (0, 2)])]
+    # an error point is one unit; a single unit runs without a pool
+    run_scenario(small_cfg(n_values=(2, 10), k_values=(4,), runs=2), workers=4)
+    assert mapped[1] == (3, [(0, 0), (1, 0), (1, 1)])
+    run_scenario(small_cfg(runs=1), workers=4)
+    assert len(mapped) == 2
 
 
 def test_worker_count_env(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggsim.graph import CommGraph, Role, compute_x
+from aggsim.graph import CommGraph, Role, compute_x, greedy_cds, greedy_mis
 from aggsim.model import (
     EventTrace,
     LogCost,
@@ -537,6 +537,62 @@ def test_net_matches_full_scan_reference(inst):
     assert [r.time.hex() for rs in got.per_system for r in rs] == [
         r.time.hex() for rs in want.per_system for r in rs
     ]
+
+
+@st.composite
+def engine_instances(draw):
+    """Small traces for the trigger engine against its push-per-change
+    reference: dyadic gaps, weights and thresholds so that crossings tie
+    exactly with arrivals and with each other, zero weights, a random
+    priority and a random connected graph."""
+    def exactly(size, values):
+        return st.lists(values, min_size=size, max_size=size)
+
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 40))
+    start = draw(st.sampled_from([0.0, 1e6]))
+    gaps = draw(exactly(m, st.sampled_from([0.25, 0.5, 1.0, 2.0])))
+    grid = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+    w = np.array(draw(exactly(m, exactly(n, grid))))
+    thetas = draw(exactly(n, st.sampled_from([0.25, 0.5, 1.0, 2.0])))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {e for e in draw(st.lists(pair, max_size=n)) if e[0] < e[1]}
+    return (
+        EventTrace(start + np.cumsum(gaps), w / thetas),
+        CommGraph.from_edges(n, edges),
+        ThresholdPolicy(draw(st.sampled_from([0.5, 1.0, 1.5]))),
+        draw(st.integers(1, n)),
+        draw(st.sampled_from([UnityCost(), LogCost()])),
+        draw(st.permutations(range(n))),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(engine_instances())
+def test_engine_matches_push_per_change_reference(inst):
+    tr, g, pol, k, cost, priority = inst
+    got = run_itc(tr, pol, k, cost, priority=priority)
+    assert got == oracles.reference_itc(tr, pol, k, cost, priority=priority)
+    for forward in (greedy_mis(g), greedy_cds(g)):
+        roled = g.with_roles(
+            [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(g.n)]
+        )
+        got = run_net(tr, pol, k, cost, roled)
+        assert got == oracles.reference_net(tr, pol, k, cost, roled)
+
+
+def test_removal_floors_the_next_crossing():
+    # With log cost, dropping a delivered event cuts the report cost, so
+    # the rest of the pending set can be past its own crossing (here
+    # 0.01 * t = ln 2.01 at t = 69.81). System 0 then fires at the removal
+    # instant, right after system 1's report at 69.5 + ln 8 / 6 = 69.85.
+    tr = EventTrace([0.0, 69.5], [[0.01, 0.0], [1.0, 6.0]])
+    s = run_itc(tr, ThresholdPolicy(1.0), 1, LogCost())
+    heard = 69.5 + math.log(8.0) / 6.0
+    assert s.per_system == ((Report(heard, (0,)),), (Report(heard, (1,)),))
+    assert 0.01 * heard > math.log(2.01)
+    assert s == oracles.reference_itc(tr, ThresholdPolicy(1.0), 1, LogCost())
 
 
 def test_determinism_repeated_runs():
