@@ -159,12 +159,6 @@ class EventTrace:
         """Event ids of an array of rows."""
         return self._ids[rows]
 
-    def time_of(self, event_id: int) -> float:
-        return float(self.times[self.index_of(event_id)])
-
-    def weight(self, system: int, event_id: int) -> float:
-        return float(self.weights[self.index_of(event_id)][system])
-
     def check_k_feasible(self, k: int) -> None:
         """Every event must be observed (w > 0) by at least k systems."""
         if not 1 <= k <= self.n_systems:

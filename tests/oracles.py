@@ -16,7 +16,8 @@ at every close, which the windowed oracle must match bit for bit.
 `report_schedule_csv` writes the `aggsim run --out` schedule CSV from
 `Report` objects, to pin the bytes of the columnar writer.
 `k1_schedule` turns a DP table's segment choices into a K=1 schedule, so
-tests can score the partition the oracle's value stands for.
+tests can score the partition the oracle's value stands for. `time_of` and
+`weight` look an event's time and measurements up by id, for the loops.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ from aggsim.offline import OfflineResult
 from aggsim.online import ThresholdPolicy, _Engine
 
 
+def time_of(trace: EventTrace, event_id: int) -> float:
+    """Appearance time of the event with this id."""
+    return float(trace.times[trace.index_of(event_id)])
+
+
+def weight(trace: EventTrace, system: int, event_id: int) -> float:
+    """Measurement of the event with this id at a system (0 if unobserved)."""
+    return float(trace.weights[trace.index_of(event_id)][system])
+
+
 def naive_gamma(
     schedule: ReportSchedule, trace: EventTrace, j: int, k: int
 ) -> float:
@@ -50,7 +61,7 @@ def naive_gamma(
     first: dict[int, float] = {}
     for i, reports in enumerate(schedule.per_system):
         for rep in reports:
-            if j in rep.event_ids and trace.weight(i, j) > 0:
+            if j in rep.event_ids and weight(trace, i, j) > 0:
                 first[i] = min(first.get(i, math.inf), rep.time)
     times = sorted(first.values())
     return times[k - 1] if len(times) >= k else math.inf
@@ -68,16 +79,16 @@ def naive_total(
     for i, reports in enumerate(schedule.per_system):
         for rep in reports:
             comm += cost_fn.of_total(
-                sum(trace.weight(i, j) for j in set(rep.event_ids))
+                sum(weight(trace, i, j) for j in set(rep.event_ids))
             )
     latency = 0.0
     for j in trace.event_ids:
         g = naive_gamma(schedule, trace, j, k)
         if math.isinf(g):
             return math.inf
-        t_j = trace.time_of(j)
+        t_j = time_of(trace, j)
         for i in range(trace.n_systems):
-            w = trace.weight(i, j)
+            w = weight(trace, i, j)
             if w > 0:
                 latency += w * (g - t_j)
     return rho * comm + (1.0 - rho) * latency
@@ -284,9 +295,9 @@ def independent_thb(
     out: list[list[tuple[float, tuple[int, ...]]]] = []
     for i in range(n):
         mine = [
-            (trace.time_of(j), j, trace.weight(i, j))
+            (time_of(trace, j), j, weight(trace, i, j))
             for j in trace.event_ids
-            if trace.weight(i, j) > 0
+            if weight(trace, i, j) > 0
         ]
         reports: list[tuple[float, tuple[int, ...]]] = []
         pending: list[tuple[float, float, int]] = []  # (w, t_e, id)
@@ -309,7 +320,7 @@ def accumulate_lat(
 ) -> float:
     """Latency system i has accrued by t on the pending event ids."""
     return sum(
-        trace.weight(i, j) * (t - trace.time_of(j)) for j in pending
+        weight(trace, i, j) * (t - time_of(trace, j)) for j in pending
     )
 
 
@@ -317,7 +328,7 @@ def accumulate_com(
     trace: EventTrace, i: int, pending: list[int], cost_fn: CommCost
 ) -> float:
     """Cost of the report system i would send for the pending event ids."""
-    return cost_fn.of_total(sum(trace.weight(i, j) for j in pending))
+    return cost_fn.of_total(sum(weight(trace, i, j) for j in pending))
 
 
 def crossing_time_bisect(

@@ -251,3 +251,49 @@ def test_window_bounds_log_cost_by_its_largest_report():
     res = offline_lb(tr, 1, rho, LogCost())
     assert res.choice[2] == 2
     assert_same_as_full_scan(tr, 1, rho, LogCost())
+
+
+def dense_window_trace(n, m, scale, seed):
+    # 1e-9 gaps and weights near `scale` keep a few tens of starts in every
+    # window, so most closes are narrow and their cells fill many chunks
+    rng = np.random.default_rng(seed)
+    return EventTrace(
+        np.cumsum(np.full(m, 1e-9)),
+        rng.uniform(0.0, scale, size=(m, n)) + scale * 1e-3,
+    )
+
+
+def burst_trace(n, m, seed):
+    # bursts at 1e-9 spacing grow windows past a hundred starts; the gaps
+    # of 5 between bursts shrink them back to one
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.uniform(size=m) < 0.03, 5.0, 1e-9)
+    return EventTrace(1e6 + np.cumsum(gaps), rng.uniform(0.01, 1.0, size=(m, n)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("cost, scale", [(UnityCost(), 1e6), (LogCost(), 2e7)])
+def test_dense_windows_across_chunks_match_full_scan(cost, scale, k):
+    # at N=64 a chunk holds 256 cells; windows of 40 to 47 starts give
+    # 23,000 to 26,000 cells, about 100 chunks
+    assert_same_as_full_scan(dense_window_trace(64, 700, scale * k, 3), k, 0.5, cost)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("cost", [UnityCost(), LogCost()])
+def test_wide_and_narrow_windows_across_chunks_match_full_scan(cost, k):
+    # a quarter of the closes take a vector step between narrow ones, and
+    # the narrow cells fill about 50 chunks
+    assert_same_as_full_scan(burst_trace(64, 700, 1), k, 0.5, cost)
+
+
+@pytest.mark.parametrize("cost", [UnityCost(), LogCost()])
+def test_overflowing_sums_match_full_scan(cost):
+    # the latency prefix sums overflow from the second event on, so inf - inf
+    # makes the candidates NaN; the sweep must pick them as np.argmin does
+    rng = np.random.default_rng(4)
+    tr = EventTrace(
+        1e10 + np.arange(40.0), rng.uniform(0.5, 1.0, size=(40, 2)) * 1e298
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_as_full_scan(tr, 1, 0.5, cost)

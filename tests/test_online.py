@@ -225,10 +225,10 @@ def test_trigger_ratio_below_theta_until_crossing():
         s = run_thb(tr, ThresholdPolicy(theta), 1, cost)
         for i in range(tr.n_systems):
             prev = -math.inf
-            mine = [j for j in tr.event_ids if tr.weight(i, j) > 0]
+            mine = [j for j in tr.event_ids if oracles.weight(tr, i, j) > 0]
             for rep in s.per_system[i]:
                 pend = [
-                    j for j in mine if prev < tr.time_of(j) <= rep.time
+                    j for j in mine if prev < oracles.time_of(tr, j) <= rep.time
                 ]
                 assert tuple(pend) == rep.event_ids
                 com = oracles.accumulate_com(tr, i, pend, cost)
@@ -238,7 +238,7 @@ def test_trigger_ratio_below_theta_until_crossing():
                 # strictly below shortly before it
                 t_probe = rep.time - 1e-6
                 probe_pend = [
-                    j for j in mine if prev < tr.time_of(j) <= t_probe
+                    j for j in mine if prev < oracles.time_of(tr, j) <= t_probe
                 ]
                 if probe_pend:
                     lat_probe = oracles.accumulate_lat(tr, i, t_probe, probe_pend)
@@ -593,6 +593,20 @@ def test_removal_floors_the_next_crossing():
     assert s.per_system == ((Report(heard, (0,)),), (Report(heard, (1,)),))
     assert 0.01 * heard > math.log(2.01)
     assert s == oracles.reference_itc(tr, ThresholdPolicy(1.0), 1, LogCost())
+
+
+def test_arrival_floors_a_crossing_that_rounds_early():
+    # with a negligible threshold the crossing is fl(w * t) / w, which
+    # rounds below t here; every mode must report at the arrival instant
+    t = float.fromhex("0x1.b68d0de49cc21p+5")
+    w = float.fromhex("0x1.67e61d3e2970fp+1")
+    assert (1e-300 + w * t) / w < t
+    tr = EventTrace([t], [[w, 0.0]])
+    pol = ThresholdPolicy(1e-300)
+    want = ((Report(t, (0,)),), ())
+    assert run_thb(tr, pol, 1, UnityCost()).per_system == want
+    assert run_itc(tr, pol, 1, UnityCost()).per_system == want
+    assert run_net(tr, pol, 1, UnityCost(), CommGraph.complete(2)).per_system == want
 
 
 def test_determinism_repeated_runs():
