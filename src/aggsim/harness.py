@@ -206,11 +206,11 @@ class ResultRow:
     rho: float
     theta: float | None
     seed: int | None
-    alg_cost: float | None
-    oracle_value: float | None
-    ratio: float | None
-    wall_time: float | None
-    alpha: float | None
+    alg_cost: float | None = None
+    oracle_value: float | None = None
+    ratio: float | None = None
+    wall_time: float | None = None
+    alpha: float | None = None
     error: str | None = None
 
 
@@ -298,16 +298,14 @@ def _run_rep(
         )
     policy = ThresholdPolicy(theta)
 
+    # nc and fc keep the partial-regime theta at x = N and x = 1, where
+    # run_net on the empty and complete graphs equals run_thb and run_itc
     t0 = time.perf_counter()
-    if cfg.mode == "none":
+    if cfg.mode in ("none", "nc"):
         sched = run_thb(trace, policy, k, cost_fn)
-    elif cfg.mode == "full":
+    elif cfg.mode in ("full", "fc"):
         sched = run_itc(trace, policy, k, cost_fn)
     else:
-        if graph is None:
-            graph = (
-                CommGraph.empty(n) if cfg.mode == "nc" else CommGraph.complete(n)
-            )
         sched = run_net(trace, policy, k, cost_fn, graph)
     wall = time.perf_counter() - t0
 
@@ -329,32 +327,6 @@ def _run_rep(
     )
 
 
-def _error_row(
-    cfg: ScenarioConfig,
-    n: int,
-    k: int,
-    rho: float,
-    theta: float | None,
-    seed: int | None,
-    message: str,
-) -> ResultRow:
-    return ResultRow(
-        scenario_code=cfg.scenario_code,
-        mode=cfg.mode,
-        n=n,
-        k=k,
-        rho=rho,
-        theta=theta,
-        seed=seed,
-        alg_cost=None,
-        oracle_value=None,
-        ratio=None,
-        wall_time=None,
-        alpha=None,
-        error=message,
-    )
-
-
 def _point_error(cfg: ScenarioConfig, n: int, k: int) -> str | None:
     """Why no repetition of a sweep point can run, or None."""
     if k > n:
@@ -368,14 +340,15 @@ def _run_unit(args: tuple[ScenarioConfig, int, int]) -> ResultRow:
     """One repetition of one sweep point, or the point's error row."""
     cfg, point_idx, rep = args
     n, k, rho, theta = cfg.points[point_idx]
+    point = (cfg.scenario_code, cfg.mode, n, k, rho, theta)
     message = _point_error(cfg, n, k)
     if message is not None:
-        return _error_row(cfg, n, k, rho, theta, None, message)
+        return ResultRow(*point, None, error=message)
     try:
         return _run_rep(cfg, point_idx, rep, n, k, rho, theta)
     except (ValidationError, GenerationError) as exc:
         seed, _ = _seed_pair(cfg.seed, point_idx, rep)
-        return _error_row(cfg, n, k, rho, theta, seed, str(exc))
+        return ResultRow(*point, seed, error=str(exc))
 
 
 def worker_count(requested: int | None = None) -> int:

@@ -52,6 +52,16 @@ class TraceFormatError(ValidationError):
         super().__init__(prefix + message)
 
 
+def check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValidationError(f"K must be in [1, {n}], got {k}")
+
+
+def check_rho(rho: float) -> None:
+    if not 0 < rho < 1:
+        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
+
+
 class _RowError(ValidationError):
     """A trace invariant violated at one event row (0-based)."""
 
@@ -102,6 +112,15 @@ class EventTrace:
             raise _RowError(
                 "measurements must be finite and nonnegative",
                 int(np.argmax(bad_w)),
+            )
+        # t_{m-1} times the weight of rows [0, r] bounds every w * t and
+        # every latency sum formed over the trace; it must stay finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad_sum = ~np.isfinite(t[-1:] * np.cumsum(w.sum(axis=1)))
+        if bad_sum.any():
+            raise _RowError(
+                "last event time times cumulative weight overflows",
+                int(np.argmax(bad_sum)),
             )
         if event_ids is None:
             ids = tuple(range(t.shape[0]))
@@ -161,8 +180,7 @@ class EventTrace:
 
     def check_k_feasible(self, k: int) -> None:
         """Every event must be observed (w > 0) by at least k systems."""
-        if not 1 <= k <= self.n_systems:
-            raise ValidationError(f"K must be in [1, {self.n_systems}], got {k}")
+        check_k(k, self.n_systems)
         counts = np.count_nonzero(self.weights > 0, axis=1)
         bad = np.nonzero(counts < k)[0]
         if bad.size:
@@ -298,24 +316,14 @@ class UnityCost(CommCost):
         return np.ones(n_reports)
 
 
-@dataclass(frozen=True, repr=False)
 class LogCost(CommCost):
-    """cost = log(offset + total weight); offset >= 2 keeps cost >= log 2."""
-
-    offset: float = 2.0
-
-    def __post_init__(self):
-        if self.offset < 2.0:
-            raise ValidationError(f"log cost offset must be >= 2, got {self.offset}")
+    """cost = log(2 + total weight), so every report costs at least log 2."""
 
     def of_total(self, total_weight: float) -> float:
-        return math.log(self.offset + total_weight)
+        return math.log(2.0 + total_weight)
 
     def of_total_array(self, totals: np.ndarray) -> np.ndarray:
-        return np.log(self.offset + totals)
-
-    def __repr__(self) -> str:
-        return f"LogCost(offset={self.offset})"
+        return np.log(2.0 + totals)
 
 
 def parse_cost(name: str) -> CommCost:
@@ -553,10 +561,8 @@ def evaluate(
     which distinct observers originated j, regardless of when system i
     itself reported it.
     """
-    if not 0 < rho < 1:
-        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
-    if not 1 <= k <= trace.n_systems:
-        raise ValidationError(f"K must be in [1, {trace.n_systems}], got {k}")
+    check_rho(rho)
+    check_k(k, trace.n_systems)
     rows, systems, w = schedule._checked(trace)
     m = trace.n_events
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from aggsim.model import CommCost, EventTrace, UnityCost, ValidationError
+from aggsim.model import CommCost, EventTrace, UnityCost, check_rho
 
 __all__ = ["OfflineResult", "offline_lb"]
 
@@ -94,15 +94,12 @@ def offline_lb(
     first, whose sums contain every later start's. So cost_min, choice and
     the value are the full scan's bit for bit.
     """
-    if not 0 < rho < 1:
-        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
+    check_rho(rho)
+    trace.check_k_feasible(k)
     m = trace.n_events
     n = trace.n_systems
-    if not 1 <= k <= n:
-        raise ValidationError(f"K must be in [1, {n}], got {k}")
     if m == 0:
         return OfflineResult(0.0, np.zeros(1), np.zeros(1, dtype=np.int64))
-    trace.check_k_feasible(k)
 
     times = trace.times
     weights = trace.weights

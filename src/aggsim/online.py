@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from aggsim.model import (
     EventTrace,
     ReportSchedule,
     ValidationError,
+    check_k,
+    check_rho,
 )
 
 __all__ = [
@@ -71,12 +72,11 @@ class ThresholdPolicy:
 def _check_params(n: int, k: int, alpha: float, rho: float | None) -> None:
     if n < 1:
         raise ValidationError(f"need at least one system, got n={n}")
-    if not 1 <= k <= n:
-        raise ValidationError(f"K must be in [1, {n}], got {k}")
+    check_k(k, n)
     if alpha < 1:
         raise ValidationError(f"cost ratio alpha must be >= 1, got {alpha}")
-    if rho is not None and not 0 < rho < 1:
-        raise ValidationError(f"rho must lie in (0, 1), got {rho}")
+    if rho is not None:
+        check_rho(rho)
 
 
 def threshold_none(n: int, k: int, alpha: float, rho: float) -> float:
@@ -139,22 +139,22 @@ class _Engine:
     to weight, with running weight sums; a floor below which the next report
     cannot happen (latest arrival or removal instant); and a version counter
     that invalidates stale heap entries. The heap is keyed by (crossing
-    time, priority rank, system) so simultaneous crossings fire one at a
-    time in priority order; every fire updates shared counts before the
-    next candidate is examined, which realizes same-instant cascades.
+    time, system) so simultaneous crossings fire one at a time in index
+    order; every fire updates shared counts before the next candidate is
+    examined, which realizes same-instant cascades.
 
     Cost model: each event row's observers and weights are read once, as
     Python lists, and each observer pushes one heap entry. A fire pushes
     one entry per system whose pending set it shrank (`touched`), after
     the report has reached everyone who hears it, instead of one per
     removed event. Only the last push of a system between two pops can be
-    current, and current keys (time, rank, system, version) are unique, so
-    the fire order and every float are those of pushing on each change.
+    current, and current keys (time, system, version) are unique, so the
+    fire order and every float are those of pushing on each change.
 
-    The sharing rule is fixed at construction: with no graph, a report is
-    heard by everyone and an event leaves every pending set once it has K
-    reports; with a graph, reports reach neighbors only (below). Systems
-    that share nothing need no engine (`run_thb`).
+    With no graph, a report is heard by everyone and an event leaves every
+    pending set once it has K reports (`_share_full`); with a graph,
+    reports reach neighbors only (`_propagate_net`). Systems that share
+    nothing need no engine (`run_thb`).
 
     Reports are written in firing order as columns (system, time, and the
     rows each originates and forwards) for `ReportSchedule.from_fired`.
@@ -173,10 +173,9 @@ class _Engine:
         k: int,
         cost_fn: CommCost,
         graph: CommGraph | None = None,
-        priority: Sequence[int] | None = None,
     ):
         n = trace.n_systems
-        _check_k(k, n)
+        check_k(k, n)
         self.trace = trace
         self.policy = policy
         self.k = k
@@ -194,22 +193,12 @@ class _Engine:
         self.orig_len: list[int] = []
         self.fwd_rows: list[int] = []
         self.fwd_len: list[int] = []
-        self.heap: list[tuple[float, int, int, int]] = []
+        self.heap: list[tuple[float, int, int]] = []
         self.times: list[float] = trace.times.tolist()
         self.touched: set[int] = set()
 
-        pri = tuple(range(n)) if priority is None else tuple(priority)
-        if sorted(pri) != list(range(n)):
-            raise ValidationError(f"priority must be a permutation of 0..{n - 1}")
-        self.rank = [0] * n
-        for pos, i in enumerate(pri):
-            self.rank[i] = pos
-
-        # _share(self, i, rows, t) tells the others about i's report of
-        # `rows` at t and returns the rows i forwards with it. It is stored
-        # unbound: a bound method would put the engine in a reference cycle
-        # and keep its tables alive after run() until the cycle collector.
-        if graph is not None:
+        self.net = graph is not None
+        if self.net:
             if graph.n != n:
                 raise ValidationError(f"graph has {graph.n} nodes for {n} systems")
             self.known: list[dict[int, set[int]]] = [dict() for _ in range(n)]
@@ -217,10 +206,8 @@ class _Engine:
             self.dirty: list[set[int]] = [set() for _ in range(n)]
             self.neighbors = [sorted(graph.neighbors(i)) for i in range(n)]
             self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
-            self._share = type(self)._propagate_net
         else:
             self.cnt = [0] * trace.n_events
-            self._share = type(self)._share_full
 
     # -- per-system trigger bookkeeping
 
@@ -235,7 +222,7 @@ class _Engine:
         t_star = (target + self.acc_wt[i]) / self.acc_w[i]
         if t_star < self.floor[i]:
             t_star = self.floor[i]
-        heapq.heappush(self.heap, (t_star, self.rank[i], i, self.version[i]))
+        heapq.heappush(self.heap, (t_star, i, self.version[i]))
 
     def _remove(self, i: int, row: int, t: float) -> None:
         """Drop a delivered event from i's pending set at instant t; the
@@ -259,7 +246,12 @@ class _Engine:
         self.acc_wt[i] = 0.0
         self.floor[i] = t
         self.version[i] += 1
-        fwd = self._share(self, i, rows, t)
+        # tell the others about i's report and get the rows i forwards; a
+        # stored bound method would keep the engine alive in a cycle
+        if self.net:
+            fwd = self._propagate_net(i, rows, t)
+        else:
+            fwd = self._share_full(i, rows, t)
         for r in self.touched:
             self._push(r)
         self.touched.clear()
@@ -364,7 +356,7 @@ class _Engine:
         """Fire every crossing strictly before `until`, cascades included."""
         heap = self.heap
         while heap:
-            t_star, _, i, ver = heap[0]
+            t_star, i, ver = heap[0]
             if ver != self.version[i]:
                 heapq.heappop(heap)
                 continue
@@ -378,7 +370,7 @@ class _Engine:
         theta = self.policy.theta
         of_total = self.cost_fn.of_total
         pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
-        floor, version, rank, heap = self.floor, self.version, self.rank, self.heap
+        floor, version, heap = self.floor, self.version, self.heap
         for row, t in enumerate(self.times):
             self._drain(t)
             w_row = weights[row]
@@ -393,7 +385,7 @@ class _Engine:
                 t_star = (theta * of_total(aw) + awt) / aw
                 if t_star < t:
                     t_star = t
-                heapq.heappush(heap, (t_star, rank[i], i, version[i]))
+                heapq.heappush(heap, (t_star, i, version[i]))
         self._drain(math.inf)
         return self._schedule()
 
@@ -412,11 +404,6 @@ class _Engine:
         return ReportSchedule.from_fired(
             self.n, self.fired_system, self.fired_time, *pairs
         )
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValidationError(f"K must be in [1, {n}], got {k}")
 
 
 def run_thb(
@@ -439,7 +426,7 @@ def run_thb(
     before the event it carries.
     """
     n = trace.n_systems
-    _check_k(k, n)
+    check_k(k, n)
     m = trace.n_events
     times = trace.times.tolist()
     observed = trace.weights > 0
@@ -510,13 +497,12 @@ def run_itc(
     policy: ThresholdPolicy,
     k: int,
     cost_fn: CommCost,
-    priority: Sequence[int] | None = None,
 ) -> ReportSchedule:
     """Full intercommunication: drop events already reported K times.
 
-    Simultaneous crossings fire in `priority` order (default: by index).
+    Simultaneous crossings fire in index order.
     """
-    return _Engine(trace, policy, k, cost_fn, priority=priority).run()
+    return _Engine(trace, policy, k, cost_fn).run()
 
 
 def run_net(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EventTrace, ValidationError
+from .model import EventTrace, ValidationError, check_k
 
 log = logging.getLogger(__name__)
 
@@ -114,8 +114,7 @@ def repair_k_feasibility(
 ) -> None:
     """Redraw (in place) any row with fewer than k positive entries."""
     n = weights.shape[1]
-    if not 1 <= k <= n:
-        raise ValidationError(f"K must be in [1, {n}], got {k}")
+    check_k(k, n)
     for row in np.nonzero(np.count_nonzero(weights > 0, axis=1) < k)[0]:
         for _ in range(1000):
             weights[row] = rng.uniform(0.0, high, size=n)

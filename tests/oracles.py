@@ -25,7 +25,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -506,7 +505,6 @@ class _ReferenceEngine:
         k: int,
         cost_fn: CommCost,
         graph: CommGraph | None = None,
-        priority: Sequence[int] | None = None,
     ):
         n = trace.n_systems
         if not 1 <= k <= n:
@@ -528,14 +526,7 @@ class _ReferenceEngine:
         self.orig_len: list[int] = []
         self.fwd_rows: list[int] = []
         self.fwd_len: list[int] = []
-        self.heap: list[tuple[float, int, int, int]] = []
-
-        pri = tuple(range(n)) if priority is None else tuple(priority)
-        if sorted(pri) != list(range(n)):
-            raise ValidationError(f"priority must be a permutation of 0..{n - 1}")
-        self.rank = [0] * n
-        for pos, i in enumerate(pri):
-            self.rank[i] = pos
+        self.heap: list[tuple[float, int, int]] = []
 
         # _share(self, i, rows, t) tells the others about i's report of
         # `rows` at t and returns the rows i forwards with it. It is stored
@@ -566,7 +557,7 @@ class _ReferenceEngine:
         t_star = (target + self.acc_wt[i]) / self.acc_w[i]
         if t_star < self.floor[i]:
             t_star = self.floor[i]
-        heapq.heappush(self.heap, (t_star, self.rank[i], i, self.version[i]))
+        heapq.heappush(self.heap, (t_star, i, self.version[i]))
 
     def _add_arrival(self, i: int, row: int, t: float, w: float) -> None:
         self.pend[i][row] = w
@@ -700,7 +691,7 @@ class _ReferenceEngine:
         """Fire every crossing strictly before `until`, cascades included."""
         heap = self.heap
         while heap:
-            t_star, _, i, ver = heap[0]
+            t_star, i, ver = heap[0]
             if ver != self.version[i]:
                 heapq.heappop(heap)
                 continue
@@ -743,10 +734,9 @@ def reference_itc(
     policy: ThresholdPolicy,
     k: int,
     cost_fn: CommCost,
-    priority: Sequence[int] | None = None,
 ) -> ReportSchedule:
     """Reference for `run_itc`: a push on every change of a pending set."""
-    return _ReferenceEngine(trace, policy, k, cost_fn, priority=priority).run()
+    return _ReferenceEngine(trace, policy, k, cost_fn).run()
 
 
 def reference_net(

@@ -10,8 +10,23 @@ import pytest
 
 from aggsim.cli import _schedule_csv, main
 from aggsim.graph import CommGraph, Role, compute_x, gen_udg, greedy_mis
-from aggsim.model import EventTrace, Report, ReportSchedule, UnityCost
-from aggsim.online import ThresholdPolicy, run_thb, threshold_full, threshold_none
+from aggsim.model import (
+    EventTrace,
+    LogCost,
+    Report,
+    ReportSchedule,
+    UnityCost,
+    evaluate,
+)
+from aggsim.online import (
+    ThresholdPolicy,
+    run_itc,
+    run_net,
+    run_thb,
+    threshold_full,
+    threshold_none,
+    threshold_partial,
+)
 from aggsim.workload import BigEvents, PoissonArrivals, WorkloadSpec, gen_trace
 
 import oracles
@@ -106,6 +121,40 @@ def test_run_default_theta_is_the_bound_formula(capsys, two_event_csv):
     assert f"theta={repr(threshold_none(1, 1, 1.0, 0.5))}" in out
 
 
+def test_run_default_theta_for_itc_and_net(capsys, tmp_path):
+    # without --theta, itc takes the full-regime threshold and net the
+    # partial-regime one at the graph's x; total is evaluate's score
+    trace_path = tmp_path / "t.csv"
+    gen_trace(
+        WorkloadSpec(PoissonArrivals(), BigEvents(), 60, 8, 5), ensure_k=2
+    ).to_csv(trace_path)
+    trace = EventTrace.from_csv(str(trace_path))
+    g = gen_udg(8, 3.0, 1)
+    fwd = greedy_mis(g)
+    g = g.with_roles(
+        [Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(8)]
+    )
+    gpath = tmp_path / "g.txt"
+    g.save(gpath)
+    x = compute_x(g).value
+    cost = LogCost()
+    cases = [
+        ("itc", (), threshold_full(8, 2, 1.0, 0.3),
+         lambda pol: run_itc(trace, pol, 2, cost)),
+        ("net", ("--graph", str(gpath)), threshold_partial(8, 2, 1.0, x, 0.3),
+         lambda pol: run_net(trace, pol, 2, cost, g)),
+    ]
+    for alg, extra, theta, run in cases:
+        code, out, _ = run_cli(
+            capsys, "run", "--alg", alg, "--trace", str(trace_path), "--K", "2",
+            "--rho", "0.3", "--cost", "log", *extra,
+        )
+        assert code == 0
+        total = evaluate(run(ThresholdPolicy(theta)), trace, 2, 0.3, cost).total
+        assert f"theta={theta!r}\n" in out, alg
+        assert f"total={total!r}\n" in out, alg
+
+
 def test_run_writes_schedule_csv(capsys, tmp_path):
     trace_path = tmp_path / "t.csv"
     EventTrace([0.0, 0.2, 5.0], [[1.0], [1.0], [1.0]]).to_csv(trace_path)
@@ -163,6 +212,24 @@ def test_run_net_requires_matching_graph(capsys, tmp_path, two_event_csv):
         "--graph", str(gpath),
     )
     assert code == 1 and "3 nodes" in err
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [("0 x", "line 3: bad edge '0 x'"), ("1 1", "line 3: self-loop at node 1")],
+    ids=["bad-edge", "self-loop"],
+)
+def test_run_graph_edge_line_diagnostic(capsys, tmp_path, edge, message):
+    trace_path = tmp_path / "t.csv"
+    EventTrace([0.0], [[1.0, 1.0]]).to_csv(trace_path)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"2\n0 1\n{edge}\n")
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "net", "--trace", str(trace_path),
+        "--graph", str(gpath),
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_run_net_end_to_end(capsys, tmp_path):
@@ -243,6 +310,18 @@ def test_gen_graph_infeasible(capsys, tmp_path):
         "--out", str(tmp_path / "g.txt"),
     )
     assert code == 1 and "error:" in err
+
+
+def test_gen_graph_generation_failure_exits_two(capsys, tmp_path):
+    # a degree this low leaves every unit-disk graph on 30 nodes
+    # disconnected: a runtime failure, not an input problem
+    code, _, err = run_cli(
+        capsys, "gen-graph", "--nodes", "30", "--avg-degree", "0.5",
+        "--out", str(tmp_path / "g.txt"),
+    )
+    assert code == 2
+    assert "no connected unit-disk graph" in err
+    assert not (tmp_path / "g.txt").exists()
 
 
 # ------------------------------------------------------------------- sweep
@@ -395,6 +474,22 @@ def test_malformed_trace_gives_line_diagnostic(capsys, tmp_path):
     code, _, err = run_cli(capsys, "oracle", "--trace", str(p))
     assert code == 1
     assert "line 3" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv", [("oracle",), ("run", "--alg", "thb", "--theta", "1")]
+)
+def test_overflowing_trace_fails_loudly(capsys, tmp_path, argv):
+    # 3e10 * 1e298 overflows at the first row; unchecked, the oracle
+    # printed nan and the run total=inf, both with exit 0
+    p = tmp_path / "big.csv"
+    p.write_text(
+        "event_id,time,w_1\n0,1e10,1e298\n1,2e10,1e298\n2,3e10,1e298\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--trace", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2: ")
 
 
 def test_missing_file_is_runtime_error(capsys, tmp_path):

@@ -319,6 +319,23 @@ def test_error_row_csv():
     assert "exceeds" in cells[12]
 
 
+def test_failed_repetition_error_rows_keep_their_seeds():
+    # no connected graph has this degree, so each repetition fails after
+    # drawing its seeds: one row each, seed set, result fields blank
+    cfg = parse_config(
+        '{"scenario": "SPU", "mode": "n1", "N": [30], "K": [1], "rho": [0.5],'
+        ' "runs": 2, "n_events": 20, "avg_degree": 0.5}'
+    )
+    message = (
+        "no connected unit-disk graph with avg degree ~0.5 found for n=30 "
+        "after 60 attempts"
+    )
+    assert rows_to_csv(run_scenario(cfg, workers=1)).splitlines()[1:] == [
+        f"SPU,n1,30,1,0.5,,2968811710,,,,,,{message}",
+        f"SPU,n1,30,1,0.5,,3831201730,,,,,,{message}",
+    ]
+
+
 def test_summary_csv():
     text = summary_to_csv(aggregate([fixed_row(2.0), fixed_row(4.0)]))
     lines = text.splitlines()

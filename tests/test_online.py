@@ -179,8 +179,6 @@ def test_engine_validation():
     with pytest.raises(ValidationError):
         run_thb(tr, pol, 3, UnityCost())
     with pytest.raises(ValidationError):
-        run_itc(tr, pol, 1, UnityCost(), priority=(0, 0))
-    with pytest.raises(ValidationError):
         run_net(tr, pol, 1, UnityCost(), CommGraph.empty(3))
     with pytest.raises(ValidationError):
         run_thb(tr, ThresholdPolicy((1.0, 1.0)), 1, UnityCost())
@@ -284,13 +282,6 @@ def test_itc_single_report_when_all_observe_the_same():
     s = run_itc(tr, ThresholdPolicy(1.0), 1, UnityCost())
     assert [len(r) for r in s.per_system] == [1, 0, 0, 0]
     assert s.per_system[0][0].time == 1.0
-
-
-def test_itc_priority_selects_the_reporter():
-    tr = EventTrace([0.0], np.ones((1, 3)))
-    pol = ThresholdPolicy(1.0)
-    s = run_itc(tr, pol, 1, UnityCost(), priority=(2, 0, 1))
-    assert [len(r) for r in s.per_system] == [0, 0, 1]
 
 
 def test_itc_single_event_law():
@@ -543,8 +534,8 @@ def test_net_matches_full_scan_reference(inst):
 def engine_instances(draw):
     """Small traces for the trigger engine against its push-per-change
     reference: dyadic gaps, weights and thresholds so that crossings tie
-    exactly with arrivals and with each other, zero weights, a random
-    priority and a random connected graph."""
+    exactly with arrivals and with each other, zero weights and a random
+    connected graph."""
     def exactly(size, values):
         return st.lists(values, min_size=size, max_size=size)
 
@@ -564,16 +555,15 @@ def engine_instances(draw):
         ThresholdPolicy(draw(st.sampled_from([0.5, 1.0, 1.5]))),
         draw(st.integers(1, n)),
         draw(st.sampled_from([UnityCost(), LogCost()])),
-        draw(st.permutations(range(n))),
     )
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(engine_instances())
 def test_engine_matches_push_per_change_reference(inst):
-    tr, g, pol, k, cost, priority = inst
-    got = run_itc(tr, pol, k, cost, priority=priority)
-    assert got == oracles.reference_itc(tr, pol, k, cost, priority=priority)
+    tr, g, pol, k, cost = inst
+    got = run_itc(tr, pol, k, cost)
+    assert got == oracles.reference_itc(tr, pol, k, cost)
     for forward in (greedy_mis(g), greedy_cds(g)):
         roled = g.with_roles(
             [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(g.n)]
