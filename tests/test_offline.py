@@ -293,6 +293,22 @@ def test_wide_and_narrow_windows_across_chunks_match_full_scan(cost, k):
     assert_same_as_full_scan(burst_trace(64, 700, 1), k, 0.5, cost)
 
 
+@pytest.mark.parametrize("cost", [UnityCost(), LogCost()])
+def test_overflowing_sums_match_full_scan(cost):
+    # weights scaled until t_{m-1} * total weight is one part in a million
+    # short of overflow, the largest trace EventTrace accepts: every prefix
+    # sum and latency stays finite, no numpy warning is raised, and the
+    # sweep still picks what the full scan picks
+    rng = np.random.default_rng(4)
+    t = 1e10 + np.arange(40.0)
+    w = rng.uniform(0.5, 1.0, size=(40, 2))
+    w *= np.finfo(np.float64).max / (t[-1] * w.sum()) * (1 - 1e-6)
+    tr = EventTrace(t, w)
+    with np.errstate(all="raise"):
+        assert math.isfinite(offline_lb(tr, 1, 0.5, cost).value)
+        assert_same_as_full_scan(tr, 1, 0.5, cost)
+
+
 def test_overflowing_sums_are_rejected():
     # the latency prefix sums would overflow from the second event on and
     # make the oracle's candidates NaN; the trace is refused instead
