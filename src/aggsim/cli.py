@@ -16,7 +16,6 @@ import numpy as np
 from .graph import (
     CommGraph,
     GenerationError,
-    GraphFormatError,
     Role,
     compute_x,
     gen_udg,
@@ -27,7 +26,6 @@ from .harness import aggregate, load_config, run_scenario, write_results, write_
 from .model import (
     EventTrace,
     ReportSchedule,
-    TraceFormatError,
     ValidationError,
     evaluate,
     parse_cost,
@@ -35,6 +33,7 @@ from .model import (
 from .offline import offline_lb
 from .online import (
     balance_root,
+    default_theta,
     ratio_full,
     ratio_none,
     ratio_partial,
@@ -189,20 +188,17 @@ def _cmd_run(args) -> int:
     trace = EventTrace.from_csv(args.trace)
     cost_fn = parse_cost(args.cost)
     n = trace.n_systems
-    graph = None
+    graph = x = None
     if args.alg == "net":
         if args.graph is None:
             raise ValidationError("--alg net requires --graph")
         graph = _load_graph_with_roles(args.graph, n)
+        x = compute_x(graph).value
+    elif args.alg == "itc":
+        x = 1
     theta = args.theta
     if theta is None:
-        if args.alg == "thb":
-            theta = threshold_none(n, args.K, args.alpha, args.rho)
-        elif args.alg == "itc":
-            theta = threshold_full(n, args.K, args.alpha, args.rho)
-        else:
-            x = compute_x(graph).value
-            theta = threshold_partial(n, args.K, args.alpha, x, args.rho)
+        theta = default_theta(n, args.K, args.alpha, args.rho, x)
     policy = ThresholdPolicy(theta)
     if args.alg == "thb":
         sched = run_thb(trace, policy, args.K, cost_fn)
@@ -283,13 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (TraceFormatError, GraphFormatError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from aggsim.model import ValidationError
+from aggsim.model import LineError, ValidationError
 
 __all__ = [
     "Role",
@@ -33,13 +33,8 @@ __all__ = [
 ]
 
 
-class GraphFormatError(ValidationError):
-    """Raised on malformed graph text; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+class GraphFormatError(LineError):
+    """Raised on malformed graph text."""
 
 
 class GenerationError(RuntimeError):
@@ -120,18 +115,20 @@ class CommGraph:
     def forward_nodes(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.roles[i] is Role.FORWARD)
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        stack = [0]
+    def _component(self, v: int, members) -> set[int]:
+        """Nodes of `members` reachable from v through `members`."""
+        comp = {v}
+        stack = [v]
         while stack:
-            v = stack.pop()
-            for u in self._adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+            a = stack.pop()
+            for b in self._adj[a]:
+                if b in members and b not in comp:
+                    comp.add(b)
+                    stack.append(b)
+        return comp
+
+    def is_connected(self) -> bool:
+        return len(self._component(0, range(self.n))) == self.n
 
     # Text format: `n` header, one `i j` line per edge (sorted), then an
     # optional `roles` section (one line of F/W characters, one per node).
@@ -236,8 +233,6 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
         raise ValidationError(
             f"target average degree {target_avg_degree} must be < n = {n}"
         )
-    if n == 1:
-        return CommGraph.empty(1)
     rng = np.random.default_rng(seed)
 
     for _ in range(60):
@@ -304,24 +299,9 @@ def greedy_cds(g: CommGraph) -> frozenset[int]:
     """
     if not g.is_connected():
         raise ValidationError("connected dominating set needs a connected graph")
-    if g.n == 1:
-        return frozenset({0})
     cds = set(_greedy_mis(g, high_first=True))
-
-    def component_of(v: int, members: set[int]) -> set[int]:
-        comp = {v}
-        stack = [v]
-        while stack:
-            a = stack.pop()
-            for b in g.neighbors(a):
-                if b in members and b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        return comp
-
     while True:
-        anchor = min(cds)
-        comp = component_of(anchor, cds)
+        comp = g._component(min(cds), cds)
         if comp == cds:
             break
         # BFS over the whole graph from the anchor component to the nearest

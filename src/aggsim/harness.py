@@ -20,7 +20,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import CommGraph, GenerationError, gen_udg, greedy_cds, greedy_mis, Role
+from .graph import (
+    CommGraph, GenerationError, Role, compute_x, gen_udg, greedy_cds, greedy_mis,
+)
 from .model import (
     CommCost,
     LogCost,
@@ -28,15 +30,7 @@ from .model import (
     ValidationError,
     evaluate,
 )
-from .online import (
-    ThresholdPolicy,
-    run_itc,
-    run_net,
-    run_thb,
-    threshold_full,
-    threshold_none,
-    threshold_partial,
-)
+from .online import ThresholdPolicy, default_theta, run_itc, run_net, run_thb
 from .offline import offline_lb
 from .workload import (
     BigEvents,
@@ -221,24 +215,6 @@ def _alpha_for(code: str, n: int, n_events: int) -> float:
     return math.log(2.0 + high * n_events) / math.log(2.0)
 
 
-def _default_theta(
-    mode: str, n: int, k: int, alpha: float, rho: float, x: float
-) -> float:
-    if mode == "none":
-        return threshold_none(n, k, alpha, rho)
-    if mode == "full":
-        return threshold_full(n, k, alpha, rho)
-    return threshold_partial(n, k, alpha, x, rho)
-
-
-def _x_for(mode: str, n: int, graph: CommGraph | None) -> float:
-    if mode in ("none", "nc"):
-        return float(n)
-    if mode in ("full", "fc"):
-        return 1.0
-    return float(len(graph.forward_nodes()))
-
-
 def _seed_pair(cfg_seed: int, point_idx: int, rep: int) -> tuple[int, int]:
     ss = np.random.SeedSequence([cfg_seed, point_idx, rep])
     state = ss.generate_state(2)
@@ -285,16 +261,16 @@ def _run_rep(
             trace_seed,
         )
         trace = gen_trace(spec, ensure_k=k)
-        graph = (
-            _build_graph(cfg, n, cfg.mode, graph_seed)
-            if cfg.mode in ("n1", "n2")
-            else None
-        )
-        x = _x_for(cfg.mode, n, graph)
+        graph = x = None
+        if cfg.mode in ("n1", "n2"):
+            graph = _build_graph(cfg, n, cfg.mode, graph_seed)
+            x = compute_x(graph).value
+        elif cfg.mode != "none":
+            x = n if cfg.mode == "nc" else 1  # full and fc: x = 1
         theta = (
             theta_override
             if theta_override is not None
-            else _default_theta(cfg.mode, n, k, alpha, rho, x)
+            else default_theta(n, k, alpha, rho, x)
         )
     policy = ThresholdPolicy(theta)
 

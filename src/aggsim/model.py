@@ -43,13 +43,17 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented model invariant."""
 
 
-class TraceFormatError(ValidationError):
-    """Raised on malformed trace CSV; carries the offending line number."""
+class LineError(ValidationError):
+    """Malformed input text; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+class TraceFormatError(LineError):
+    """Raised on malformed trace CSV."""
 
 
 def check_k(k: int, n: int) -> None:
@@ -451,21 +455,17 @@ class ReportSchedule:
         i = int(self.system[r])
         return i, r - int(np.searchsorted(self.system, i))
 
-    def validate(self, trace: EventTrace) -> None:
-        """Check the schedule invariants against a trace.
+    def validate(
+        self, trace: EventTrace
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check the schedule invariants against a trace, and return the
+        row, system and weight of every originated pair.
 
         Raises ValidationError naming the first offending (system, report,
         event) triple when report times fail to increase, when a report
         precedes an event it carries or carries one event twice, or when a
         system originates an event it did not observe.
         """
-        self._checked(trace)
-
-    def _checked(
-        self, trace: EventTrace
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`validate`, returning the row, system and weight of every
-        originated pair."""
         if self.n_systems != trace.n_systems:
             raise ValidationError(
                 f"schedule has {self.n_systems} systems, trace has "
@@ -563,7 +563,7 @@ def evaluate(
     """
     check_rho(rho)
     check_k(k, trace.n_systems)
-    rows, systems, w = schedule._checked(trace)
+    rows, systems, w = schedule.validate(trace)
     m = trace.n_events
 
     # Report costs are summed left to right in (system, report) order.

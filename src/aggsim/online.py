@@ -129,6 +129,17 @@ def ratio_partial(n: int, k: int, alpha: float, x: float) -> float:
     return balance_root(n, k, alpha, x) + 1.0
 
 
+def default_theta(
+    n: int, k: int, alpha: float, rho: float, x: float | None
+) -> float:
+    """The matching bound's threshold: `threshold_none` without
+    intercommunication (x None), else `threshold_partial` at network
+    parameter x (x=1, full intercommunication, is `threshold_full`)."""
+    if x is None:
+        return threshold_none(n, k, alpha, rho)
+    return threshold_partial(n, k, alpha, x, rho)
+
+
 # ------------------------------------------------------------- the engine
 
 
@@ -136,12 +147,13 @@ class _Engine:
     """Continuous-time trigger engine shared by the three algorithms.
 
     State per system: the pending rows, an insertion-ordered dict from row
-    to weight, with running weight sums; a floor below which the next report
-    cannot happen (latest arrival or removal instant); and a version counter
-    that invalidates stale heap entries. The heap is keyed by (crossing
-    time, system) so simultaneous crossings fire one at a time in index
-    order; every fire updates shared counts before the next candidate is
-    examined, which realizes same-instant cascades.
+    to weight, with running weight sums, and a version counter that
+    invalidates stale heap entries; no floor is kept, since a crossing is
+    floored at the instant of its push (the arrival or fire causing it).
+    The heap is keyed by (crossing time, system) so simultaneous crossings
+    fire one at a time in index order; every fire updates shared counts
+    before the next candidate is examined, which realizes same-instant
+    cascades.
 
     Cost model: each event row's observers and weights are read once, as
     Python lists, and each observer pushes one heap entry. A fire pushes
@@ -149,7 +161,8 @@ class _Engine:
     the report has reached everyone who hears it, instead of one per
     removed event. Only the last push of a system between two pops can be
     current, and current keys (time, system, version) are unique, so the
-    fire order and every float are those of pushing on each change.
+    fire order and every float are those of pushing on each change. A fire
+    bumps no version: it popped its sender's only current entry.
 
     With no graph, a report is heard by everyone and an event leaves every
     pending set once it has K reports (`_share_full`); with a graph,
@@ -185,7 +198,6 @@ class _Engine:
         self.pend: list[dict[int, float]] = [dict() for _ in range(n)]
         self.acc_w = [0.0] * n
         self.acc_wt = [0.0] * n
-        self.floor = [0.0] * n
         self.version = [0] * n
         self.fired_system: list[int] = []
         self.fired_time: list[float] = []
@@ -211,30 +223,28 @@ class _Engine:
 
     # -- per-system trigger bookkeeping
 
-    def _push(self, i: int) -> None:
-        """Replace i's heap entry by its next crossing: the earliest
-        t >= floor at which sum w * (t - t_e) over i's pending events
+    def _push(self, i: int, t: float) -> None:
+        """Replace i's heap entry, at instant t, by its next crossing: the
+        earliest t' >= t at which sum w * (t' - t_e) over i's pending events
         reaches theta times the cost of the report i would send."""
         self.version[i] += 1
         if not self.pend[i]:
             return
         target = self.policy.theta * self.cost_fn.of_total(self.acc_w[i])
         t_star = (target + self.acc_wt[i]) / self.acc_w[i]
-        if t_star < self.floor[i]:
-            t_star = self.floor[i]
+        if t_star < t:
+            t_star = t
         heapq.heappush(self.heap, (t_star, i, self.version[i]))
 
-    def _remove(self, i: int, row: int, t: float) -> None:
-        """Drop a delivered event from i's pending set at instant t; the
-        firing report reschedules i once it has been heard everywhere."""
+    def _remove(self, i: int, row: int) -> None:
+        """Drop a delivered event from i's pending set; the firing report
+        reschedules i once it has been heard everywhere."""
         w = self.pend[i].pop(row)
         self.acc_w[i] -= w
         self.acc_wt[i] -= w * self.times[row]
         if not self.pend[i]:
             self.acc_w[i] = 0.0
             self.acc_wt[i] = 0.0
-        if t > self.floor[i]:
-            self.floor[i] = t
         self.touched.add(i)
 
     # -- firing and intercommunication
@@ -244,16 +254,14 @@ class _Engine:
         self.pend[i].clear()
         self.acc_w[i] = 0.0
         self.acc_wt[i] = 0.0
-        self.floor[i] = t
-        self.version[i] += 1
         # tell the others about i's report and get the rows i forwards; a
         # stored bound method would keep the engine alive in a cycle
         if self.net:
-            fwd = self._propagate_net(i, rows, t)
+            fwd = self._propagate_net(i, rows)
         else:
-            fwd = self._share_full(i, rows, t)
+            fwd = self._share_full(i, rows)
         for r in self.touched:
-            self._push(r)
+            self._push(r, t)
         self.touched.clear()
         self.fired_system.append(i)
         self.fired_time.append(t)
@@ -262,7 +270,7 @@ class _Engine:
         self.fwd_rows += fwd
         self.fwd_len.append(len(fwd))
 
-    def _share_full(self, i: int, rows: list[int], t: float) -> tuple[()]:
+    def _share_full(self, i: int, rows: list[int]) -> tuple[()]:
         """Everyone hears i; an event with K reports leaves every pending
         set, in system order."""
         pend = self.pend
@@ -271,12 +279,10 @@ class _Engine:
             if self.cnt[row] == self.k:
                 for r in range(self.n):
                     if row in pend[r]:
-                        self._remove(r, row, t)
+                        self._remove(r, row)
         return ()
 
-    def _propagate_net(
-        self, i: int, rows: list[int], t: float
-    ) -> list[int]:
+    def _propagate_net(self, i: int, rows: list[int]) -> list[int]:
         """Share i's report with its neighbors; returns the forwarded rows.
 
         The payload maps each event row to the reporting systems i can
@@ -337,7 +343,7 @@ class _Engine:
                     if len(merged) > size:
                         dirty_r.add(row)
                     if len(merged) >= k and row in pend_r:
-                        self._remove(r, row, t)
+                        self._remove(r, row)
             else:
                 for row, origins in payload.items():
                     if row not in pend_r:
@@ -346,7 +352,7 @@ class _Engine:
                     merged |= origins
                     if len(merged) >= k:
                         del known_r[row]
-                        self._remove(r, row, t)
+                        self._remove(r, row)
         fwd_rows.sort()
         return fwd_rows
 
@@ -370,7 +376,7 @@ class _Engine:
         theta = self.policy.theta
         of_total = self.cost_fn.of_total
         pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
-        floor, version, heap = self.floor, self.version, self.heap
+        version, heap = self.version, self.heap
         for row, t in enumerate(self.times):
             self._drain(t)
             w_row = weights[row]
@@ -380,7 +386,6 @@ class _Engine:
                 pend[i][row] = w
                 aw = acc_w[i] = acc_w[i] + w
                 awt = acc_wt[i] = acc_wt[i] + w * t
-                floor[i] = t
                 version[i] += 1
                 t_star = (theta * of_total(aw) + awt) / aw
                 if t_star < t:

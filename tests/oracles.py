@@ -453,7 +453,7 @@ class _FullScanNetEngine(_Engine):
         self.known = [dict() for _ in range(self.n)]
         self.fwd_sent = [dict() for _ in range(self.n)]
 
-    def _propagate_net(self, i, rows, t):
+    def _propagate_net(self, i, rows):
         known_i = self.known[i]
         payload = {row: {i} for row in rows}
         fwd_ids = []
@@ -474,7 +474,7 @@ class _FullScanNetEngine(_Engine):
                 merged = known_r.setdefault(row, set())
                 merged |= origins
                 if len(merged) >= self.k and row in self.pend[r]:
-                    self._remove(r, row, t)
+                    self._remove(r, row)
         return sorted(fwd_ids)
 
 
