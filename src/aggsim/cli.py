@@ -151,14 +151,14 @@ def _schedule_csv(schedule: ReportSchedule) -> str:
 
 
 def _cmd_gen_trace(args) -> int:
+    # an unset --mean leaves each arrival model's own default
+    mean = {} if args.mean is None else {"mean": args.mean}
     if args.arrivals == "constant":
         arrivals = ConstantArrivals(args.interval)
     elif args.arrivals == "poisson":
-        arrivals = PoissonArrivals(args.mean if args.mean is not None else 20.0)
+        arrivals = PoissonArrivals(**mean)
     else:
-        arrivals = WeibullArrivals(
-            args.shape, args.mean if args.mean is not None else 10.0
-        )
+        arrivals = WeibullArrivals(args.shape, **mean)
     magnitude = BigEvents() if args.magnitude == "big" else SmallEvents()
     spec = WorkloadSpec(arrivals, magnitude, args.events, args.systems, args.seed)
     trace = gen_trace(spec, ensure_k=args.ensure_k)
@@ -194,6 +194,8 @@ def _cmd_run(args) -> int:
             raise ValidationError("--alg net requires --graph")
         graph = _load_graph_with_roles(args.graph, n)
         x = compute_x(graph).value
+    elif args.graph is not None:
+        raise ValidationError("--graph applies only to --alg net")
     elif args.alg == "itc":
         x = 1
     theta = args.theta
@@ -207,6 +209,7 @@ def _cmd_run(args) -> int:
     else:
         sched = run_net(trace, policy, args.K, cost_fn, graph)
     out = evaluate(sched, trace, args.K, args.rho, cost_fn)
+    out.check_delivered()
     print(f"theta={repr(theta)}")
     print(f"reports={sched.total_reports()}")
     print(f"comm={repr(out.comm)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class CommGraph:
     def forward_nodes(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.roles[i] is Role.FORWARD)
 
-    def _component(self, v: int, members) -> set[int]:
+    def _component(self, v: int, members: Container[int]) -> set[int]:
         """Nodes of `members` reachable from v through `members`."""
         comp = {v}
         stack = [v]

@@ -120,6 +120,8 @@ class ScenarioConfig:
         pct = self.perturb_pct
         if not _is_real(pct) or not 0.0 <= pct <= 1.0:
             raise ConfigError("perturb_pct must be a number in [0, 1]")
+        if pct and code != "ADV2":
+            raise ConfigError("perturb_pct applies only to the ADV2 replay")
         if not _is_real(self.avg_degree) or self.avg_degree < 0:
             raise ConfigError("avg_degree must be a number >= 0")
         if not self.avg_degree < math.inf:  # inf or NaN
@@ -285,7 +287,9 @@ def _run_rep(
         sched = run_net(trace, policy, k, cost_fn, graph)
     wall = time.perf_counter() - t0
 
-    alg_cost = evaluate(sched, trace, k, rho, cost_fn).total
+    cost = evaluate(sched, trace, k, rho, cost_fn)
+    cost.check_delivered()
+    alg_cost = cost.total
     oracle = offline_lb(trace, k, rho, cost_fn).value
     return ResultRow(
         scenario_code=code,

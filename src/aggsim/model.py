@@ -545,6 +545,15 @@ class CostBreakdown:
     def feasible(self) -> bool:
         return not self.infeasible_events
 
+    def check_delivered(self) -> None:
+        """Raise ValidationError naming the events never delivered."""
+        ids = self.infeasible_events
+        if ids:
+            more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
+            raise ValidationError(
+                f"schedule never delivers events {list(ids[:5])}{more}"
+            )
+
 
 def evaluate(
     schedule: ReportSchedule,

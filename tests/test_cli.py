@@ -27,7 +27,13 @@ from aggsim.online import (
     threshold_none,
     threshold_partial,
 )
-from aggsim.workload import BigEvents, PoissonArrivals, WorkloadSpec, gen_trace
+from aggsim.workload import (
+    BigEvents,
+    PoissonArrivals,
+    WeibullArrivals,
+    WorkloadSpec,
+    gen_trace,
+)
 
 import oracles
 
@@ -232,6 +238,32 @@ def test_run_graph_edge_line_diagnostic(capsys, tmp_path, edge, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("alg", ["thb", "itc"])
+def test_run_undelivered_schedule_exits_one(capsys, tmp_path, alg):
+    # the crossing of a subnormal pending weight overflows, so no report
+    # fires; the run must fail instead of printing total=inf
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_text("event_id,time,w_1\n0,1.0,1e-310\n")
+    code, out, err = run_cli(
+        capsys, "run", "--alg", alg, "--trace", str(trace_path),
+        "--theta", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: schedule never delivers events [0]\n"
+
+
+@pytest.mark.parametrize("alg", ["thb", "itc"])
+def test_run_graph_only_with_net(capsys, tmp_path, two_event_csv, alg):
+    gpath = tmp_path / "g.txt"
+    CommGraph.complete(1).save(gpath)
+    code, out, err = run_cli(
+        capsys, "run", "--alg", alg, "--trace", two_event_csv,
+        "--graph", str(gpath),
+    )
+    assert code == 1 and out == ""
+    assert "--graph applies only to --alg net" in err
+
+
 def test_run_net_end_to_end(capsys, tmp_path):
     trace_path = tmp_path / "t.csv"
     EventTrace([0.0, 1.0], [[1.0, 0.5], [0.5, 1.0]]).to_csv(trace_path)
@@ -258,6 +290,21 @@ def test_gen_trace_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     tr = EventTrace.from_csv(a)
     assert tr.n_events == 30 and tr.n_systems == 3
+
+
+@pytest.mark.parametrize(
+    "arrivals, model",
+    [("poisson", PoissonArrivals()), ("weibull", WeibullArrivals())],
+)
+def test_gen_trace_default_mean_is_the_models(capsys, tmp_path, arrivals, model):
+    p = tmp_path / "t.csv"
+    code, _, _ = run_cli(
+        capsys, "gen-trace", "--arrivals", arrivals, "--events", "20",
+        "--systems", "3", "--seed", "4", "--out", str(p),
+    )
+    assert code == 0
+    want = gen_trace(WorkloadSpec(model, BigEvents(), 20, 3, 4))
+    assert EventTrace.from_csv(p) == want
 
 
 def test_gen_trace_ensure_k(capsys, tmp_path):

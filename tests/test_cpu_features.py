@@ -1,0 +1,68 @@
+"""Sweep bytes must not depend on the SIMD code numpy picks at run time.
+
+numpy chooses among compiled kernels by the CPU features it detects, and
+some kernels (`np.log` among them) round differently from others. The
+log-cost golden sweeps are rerun in a subprocess with every AVX-512 kernel
+disabled through `NPY_DISABLE_CPU_FEATURES`; their digests must not move.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import aggsim
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = pathlib.Path(aggsim.__file__).resolve().parent.parent
+
+# dispatch targets this CPU has that use AVX-512 instructions
+AVX512 = [
+    name
+    for name in _umath.__cpu_dispatch__
+    if _umath.__cpu_features__.get(name)
+    and (name.startswith("AVX512") or name == "X86_V4")
+]
+
+
+def _run(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(AVX512)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), str(TESTS), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.skipif(not AVX512, reason="no AVX-512 dispatch target present")
+def test_log_cost_golden_sweeps_without_avx512():
+    probe = _run(
+        "-c",
+        "import sys, numpy\n"
+        "try:\n"
+        "    from numpy._core import _multiarray_umath as u\n"
+        "except ImportError:\n"
+        "    from numpy.core import _multiarray_umath as u\n"
+        "print(' '.join(n for n in sys.argv[1:] if u.__cpu_features__[n]))",
+        *AVX512,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "", "features still enabled"
+    golden = _run(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        str(TESTS / "test_golden.py"), "-k", "SHL",
+    )
+    assert golden.returncode == 0, golden.stdout + golden.stderr
+    assert "6 passed" in golden.stdout

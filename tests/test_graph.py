@@ -50,6 +50,7 @@ def test_basic_accessors():
     assert g.avg_degree == pytest.approx(1.5)
     assert g.is_connected()
     assert not CommGraph.empty(3).is_connected()
+    assert not CommGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
     assert CommGraph.empty(1).is_connected()
     assert CommGraph.complete(4).degree(2) == 3
 
@@ -138,8 +139,10 @@ def test_format_errors_carry_line_numbers():
 
 
 def test_udg_single_node():
-    g = gen_udg(1, 0.0, seed=1)
-    assert g.n == 1 and len(g.edges) == 0
+    for seed in (0, 1, 2):
+        g = gen_udg(1, 0.0, seed=seed)
+        assert g == CommGraph.empty(1) and g.is_connected()
+        assert greedy_mis(g) == greedy_cds(g) == frozenset({0})
 
 
 def test_udg_degree_window_and_connectivity():
@@ -268,6 +271,19 @@ def test_x_mis_forwarders_collapse_to_mis_size():
         ]
         res = compute_x(g.with_roles(roles))
         assert res.exact and res.value == len(mis)
+
+
+def test_x_is_forward_count_for_sweep_roles():
+    # sweeps take x from compute_x; with MIS or CDS roles every withhold
+    # node has a forward neighbor, so x is exact and the forward count
+    for seed in (0, 1, 2, 3):
+        g = gen_udg(100, 18.0, seed=seed)
+        for fwd in (greedy_mis(g), greedy_cds(g)):
+            roles = [
+                Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(100)
+            ]
+            g = g.with_roles(roles)
+            assert compute_x(g) == (len(g.forward_nodes()), True)
 
 
 def test_x_greedy_fallback_flags_inexact():

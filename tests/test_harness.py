@@ -23,7 +23,7 @@ from aggsim.harness import (
     worker_count,
     write_results,
 )
-from aggsim.model import ValidationError
+from aggsim.model import EventTrace, ValidationError
 from aggsim.online import ratio_none, threshold_none, threshold_partial
 
 
@@ -116,6 +116,14 @@ def test_parse_config_errors():
             '{"scenario": "SPU", "mode": "none", "N": [2.5], "K": [1],'
             ' "rho": [0.5]}'
         )
+
+
+def test_perturb_pct_only_for_adv2_replay():
+    with pytest.raises(ConfigError, match="only to the ADV2 replay"):
+        small_cfg(perturb_pct=0.5)
+    assert small_cfg(perturb_pct=0.0).perturb_pct == 0.0
+    adv = ScenarioConfig("ADV2", "none", (4,), (1,), (0.5,), perturb_pct=0.5)
+    assert adv.perturb_pct == 0.5
 
 
 def test_load_config(tmp_path):
@@ -334,6 +342,17 @@ def test_failed_repetition_error_rows_keep_their_seeds():
         f"SPU,n1,30,1,0.5,,2968811710,,,,,,{message}",
         f"SPU,n1,30,1,0.5,,3831201730,,,,,,{message}",
     ]
+
+
+def test_undelivered_schedule_is_an_error_row(monkeypatch):
+    # a subnormal pending weight overflows the crossing and nothing fires;
+    # the repetition must not report ratio=inf
+    monkeypatch.setattr(
+        harness, "gen_trace", lambda spec, ensure_k: EventTrace([1.0], [[1e-310]])
+    )
+    rows = run_scenario(small_cfg(n_values=(1,), runs=1), workers=1)
+    assert [r.error for r in rows] == ["schedule never delivers events [0]"]
+    assert rows[0].ratio is None
 
 
 def test_summary_csv():

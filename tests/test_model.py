@@ -431,6 +431,22 @@ def test_validate_rejects_a_trace_with_another_system_count():
         sched.validate(make_trace([0.0], [[1.0, 1.0]]))
 
 
+def test_validate_returns_the_pairs_evaluate_scores():
+    tr = make_trace(
+        [1.0, 2.0, 3.0], [[1.0, 0.0], [0.5, 0.25], [0.0, 2.0]], [10, 30, 20]
+    )
+    sched = ReportSchedule((
+        (Report(2.5, (30, 10)),),
+        (Report(3.5, (20, 30), forwarded_ids=(10,)),),
+    ))
+    rows, systems, w = sched.validate(tr)
+    assert rows.tolist() == [1, 0, 2, 1]
+    assert systems.tolist() == [0, 0, 1, 1]
+    assert w.tolist() == [0.5, 1.0, 2.0, 0.25]
+    out = evaluate(sched, tr, 1, 0.5, LogCost())
+    assert out.comm == math.log(2.0 + 1.5) + math.log(2.0 + 2.25)
+
+
 def test_evaluate_counts_forwarded_copies_for_free():
     tr = make_trace([1.0], [[1.0, 1.0]])
     with_fwd = ReportSchedule(
