@@ -125,15 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_graph_with_roles(path: str, n: int) -> CommGraph:
-    g = CommGraph.load(path)
-    if g.n != n:
-        raise ValidationError(
-            f"graph has {g.n} nodes but the trace has {n} systems"
-        )
-    return g
-
-
 def _schedule_csv(schedule: ReportSchedule) -> str:
     """One line per report in (system, time) order, with its index among
     the system's reports and the ids it originates."""
@@ -192,7 +183,11 @@ def _cmd_run(args) -> int:
     if args.alg == "net":
         if args.graph is None:
             raise ValidationError("--alg net requires --graph")
-        graph = _load_graph_with_roles(args.graph, n)
+        graph = CommGraph.load(args.graph)
+        if graph.n != n:
+            raise ValidationError(
+                f"graph has {graph.n} nodes but the trace has {n} systems"
+            )
         x = compute_x(graph).value
     elif args.graph is not None:
         raise ValidationError("--graph applies only to --alg net")

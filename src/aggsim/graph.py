@@ -84,10 +84,6 @@ class CommGraph:
         )
 
     @classmethod
-    def empty(cls, n: int) -> "CommGraph":
-        return cls(n, frozenset())
-
-    @classmethod
     def complete(cls, n: int) -> "CommGraph":
         return cls(
             n, frozenset((i, j) for i in range(n) for j in range(i + 1, n))
@@ -229,9 +225,9 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    if target_avg_degree >= n:
+    if not 0 <= target_avg_degree < n:
         raise ValidationError(
-            f"target average degree {target_avg_degree} must be < n = {n}"
+            f"target average degree {target_avg_degree} must lie in [0, {n})"
         )
     rng = np.random.default_rng(seed)
 

@@ -209,9 +209,6 @@ class EventTrace:
         )
         return left, right
 
-    def with_weights(self, weights: np.ndarray) -> "EventTrace":
-        return EventTrace(self.times, weights, self.event_ids)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventTrace):
             return NotImplemented
@@ -362,8 +359,7 @@ class ReportSchedule:
     (system, time) order. The ids a report carries are (report, event id)
     pairs: `orig_report`/`orig_id` hold the ids it originates and
     `fwd_report`/`fwd_id` the ids it forwards, each in (system, report,
-    position) order. Schedules written by hand are built from per-system
-    `Report` sequences, and `per_system` gives that view back.
+    position) order. `per_system` gives the per-system `Report` view.
     """
 
     __slots__ = (
@@ -371,50 +367,22 @@ class ReportSchedule:
         "fwd_id",
     )
 
-    def __init__(self, per_system: Sequence[Sequence[Report]]):
-        system: list[int] = []
-        time: list[float] = []
-        orig_report: list[int] = []
-        orig_id: list[int] = []
-        fwd_report: list[int] = []
-        fwd_id: list[int] = []
-        for i, reports in enumerate(per_system):
-            for rep in reports:
-                r = len(time)
-                system.append(i)
-                time.append(rep.time)
-                orig_report += [r] * len(rep.event_ids)
-                orig_id += rep.event_ids
-                fwd_report += [r] * len(rep.forwarded_ids)
-                fwd_id += rep.forwarded_ids
-        self._set(
-            len(per_system), system, time, (orig_report, orig_id),
-            (fwd_report, fwd_id),
-        )
-
-    @classmethod
-    def from_fired(
-        cls, n_systems: int, system, time, orig, fwd=((), ())
-    ) -> "ReportSchedule":
-        """Build from reports listed in firing order.
+    def __init__(self, n_systems: int, system, time, orig, fwd=((), ())):
+        """Build from reports listed with the systems interleaved, such as
+        in firing order.
 
         `system` and `time` give each report, and `orig` and `fwd` are
         (report, event id) column pairs numbering reports in that order,
-        with each report's ids in position order.
+        with each report's ids in position order. Reports are stable-sorted
+        by system and pairs by their renumbered report: the order every
+        reader relies on.
         """
-        self = cls.__new__(cls)
-        self._set(n_systems, system, time, orig, fwd)
-        return self
-
-    def _set(self, n_systems: int, system, time, *pairs) -> None:
-        """Store the columns, stable-sorting reports by system and pairs by
-        their renumbered report: the order every reader relies on."""
         system = np.asarray(system, dtype=np.int64)
         order = np.argsort(system, kind="stable")
         new_index = np.empty_like(order)
         new_index[order] = np.arange(order.size)
         columns = [system[order], np.asarray(time, dtype=np.float64)[order]]
-        for report, ids in pairs:
+        for report, ids in (orig, fwd):
             report = new_index[np.asarray(report, dtype=np.int64)]
             by_report = np.argsort(report, kind="stable")
             columns += [report[by_report], np.asarray(ids, np.int64)[by_report]]

@@ -73,8 +73,10 @@ def _check_params(n: int, k: int, alpha: float, rho: float | None) -> None:
     if n < 1:
         raise ValidationError(f"need at least one system, got n={n}")
     check_k(k, n)
-    if alpha < 1:
-        raise ValidationError(f"cost ratio alpha must be >= 1, got {alpha}")
+    if not 1 <= alpha < math.inf:
+        raise ValidationError(
+            f"cost ratio alpha must be >= 1 and finite, got {alpha}"
+        )
     if rho is not None:
         check_rho(rho)
 
@@ -170,7 +172,7 @@ class _Engine:
     nothing need no engine (`run_thb`).
 
     Reports are written in firing order as columns (system, time, and the
-    rows each originates and forwards) for `ReportSchedule.from_fired`.
+    rows each originates and forwards) for the `ReportSchedule` constructor.
 
     Graph-limited mode adds a `known` table per node, mapping event rows to
     the systems known to have reported them. A forward node keeps its whole
@@ -406,7 +408,7 @@ class _Engine:
                 (self.fwd_rows, self.fwd_len),
             )
         ]
-        return ReportSchedule.from_fired(
+        return ReportSchedule(
             self.n, self.fired_system, self.fired_time, *pairs
         )
 
@@ -489,7 +491,7 @@ def run_thb(
     # a pending set whose crossing overflows to inf is never reported
     kept = pos < system.size
     kept[kept] = system[order[pos[kept]]] == col_sys[kept]
-    return ReportSchedule.from_fired(
+    return ReportSchedule(
         n,
         system,
         np.concatenate(fired_time),

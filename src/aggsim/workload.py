@@ -203,4 +203,4 @@ def perturb(trace: EventTrace, pct: float, seed: int) -> EventTrace:
     u = rng.uniform(-pct, pct, size=w.shape)
     mask = w > 0
     w[mask] = w[mask] * (1.0 + u[mask])
-    return trace.with_weights(w)
+    return EventTrace(trace.times, w, trace.event_ids)

@@ -15,6 +15,8 @@ pending set), and `full_dp_offline` is the segment DP scanning every start
 at every close, which the windowed oracle must match bit for bit.
 `report_schedule_csv` writes the `aggsim run --out` schedule CSV from
 `Report` objects, to pin the bytes of the columnar writer.
+`schedule_of` builds a schedule from per-system `Report` lists, as tests
+write schedules by hand.
 `k1_schedule` turns a DP table's segment choices into a K=1 schedule, so
 tests can score the partition the oracle's value stands for. `time_of` and
 `weight` look an event's time and measurements up by id, for the loops.
@@ -50,6 +52,22 @@ def time_of(trace: EventTrace, event_id: int) -> float:
 def weight(trace: EventTrace, system: int, event_id: int) -> float:
     """Measurement of the event with this id at a system (0 if unobserved)."""
     return float(trace.weights[trace.index_of(event_id)][system])
+
+
+def schedule_of(per_system) -> ReportSchedule:
+    """The schedule holding each system's sequence of `Report`s, for
+    schedules written by hand."""
+    system, time, orig, fwd = [], [], ([], []), ([], [])
+    for i, reports in enumerate(per_system):
+        for rep in reports:
+            for (report, ids), carried in (
+                (orig, rep.event_ids), (fwd, rep.forwarded_ids)
+            ):
+                report += [len(time)] * len(carried)
+                ids += carried
+            system.append(i)
+            time.append(rep.time)
+    return ReportSchedule(len(per_system), system, time, orig, fwd)
 
 
 def naive_gamma(
@@ -277,7 +295,7 @@ def k1_schedule(
                 tuple(trace.event_ids[r] for r in rows if weights[r][i_star] <= 0),
             )
         )
-    return ReportSchedule(tuple(tuple(r) for r in per_system))
+    return schedule_of(per_system)
 
 
 def independent_thb(
@@ -724,7 +742,7 @@ class _ReferenceEngine:
                 (self.fwd_rows, self.fwd_len),
             )
         ]
-        return ReportSchedule.from_fired(
+        return ReportSchedule(
             self.n, self.fired_system, self.fired_time, *pairs
         )
 

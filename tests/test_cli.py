@@ -14,7 +14,6 @@ from aggsim.model import (
     EventTrace,
     LogCost,
     Report,
-    ReportSchedule,
     UnityCost,
     evaluate,
 )
@@ -95,6 +94,17 @@ def test_theta_invalid_setting(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("mode", ["none", "full"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0.5"])
+def test_theta_rejects_alpha_outside_one_to_inf(capsys, mode, alpha):
+    code, out, err = run_cli(
+        capsys, "theta", "--mode", mode, "--N", "10", "--rho", "0.5",
+        "--alpha", alpha,
+    )
+    assert code == 1 and out == ""
+    assert "error:" in err and "alpha must be >= 1" in err
+
+
 # ------------------------------------------------------------ oracle / run
 
 
@@ -125,6 +135,17 @@ def test_run_default_theta_is_the_bound_formula(capsys, two_event_csv):
     )
     assert code == 0
     assert f"theta={repr(threshold_none(1, 1, 1.0, 0.5))}" in out
+
+
+@pytest.mark.parametrize("alg", ["thb", "itc"])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_run_rejects_non_finite_alpha(capsys, two_event_csv, alg, alpha):
+    code, out, err = run_cli(
+        capsys, "run", "--alg", alg, "--trace", two_event_csv, "--rho", "0.5",
+        "--alpha", alpha,
+    )
+    assert code == 1 and out == ""
+    assert "alpha must be >= 1" in err and "theta" not in err
 
 
 def test_run_default_theta_for_itc_and_net(capsys, tmp_path):
@@ -198,7 +219,7 @@ def test_schedule_csv_matches_report_writer(capsys, tmp_path):
         for reports in sched.per_system
     )
     # forwarded ids stay out of the file; a silent system writes no line
-    hand = ReportSchedule([
+    hand = oracles.schedule_of([
         [Report(0.5, (3, 1), (4,)), Report(1.5, (2, 0, 5))],
         [],
         [Report(0.25, (7,)), Report(0.75, (), (6,)), Report(2.0, (8, 9))],
@@ -357,6 +378,18 @@ def test_gen_graph_infeasible(capsys, tmp_path):
         "--out", str(tmp_path / "g.txt"),
     )
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("degree", ["-1", "nan"])
+def test_gen_graph_rejects_degree_outside_range(capsys, tmp_path, degree):
+    # an input problem, not 60 failed sampling attempts (exit 2)
+    code, _, err = run_cli(
+        capsys, "gen-graph", "--nodes", "5", "--avg-degree", degree,
+        "--out", str(tmp_path / "g.txt"),
+    )
+    assert code == 1
+    assert err.startswith("error: target average degree")
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_gen_graph_generation_failure_exits_two(capsys, tmp_path):

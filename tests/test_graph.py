@@ -49,9 +49,9 @@ def test_basic_accessors():
     assert g.degree(1) == 3 and g.degree(0) == 1
     assert g.avg_degree == pytest.approx(1.5)
     assert g.is_connected()
-    assert not CommGraph.empty(3).is_connected()
+    assert not CommGraph.from_edges(3, []).is_connected()
     assert not CommGraph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
-    assert CommGraph.empty(1).is_connected()
+    assert CommGraph.from_edges(1, []).is_connected()
     assert CommGraph.complete(4).degree(2) == 3
 
 
@@ -141,7 +141,7 @@ def test_format_errors_carry_line_numbers():
 def test_udg_single_node():
     for seed in (0, 1, 2):
         g = gen_udg(1, 0.0, seed=seed)
-        assert g == CommGraph.empty(1) and g.is_connected()
+        assert g == CommGraph.from_edges(1, []) and g.is_connected()
         assert greedy_mis(g) == greedy_cds(g) == frozenset({0})
 
 
@@ -167,7 +167,7 @@ def test_udg_rejects_infeasible_target():
 
 def test_mis_examples():
     assert greedy_mis(CommGraph.complete(6)) == frozenset({0})
-    assert greedy_mis(CommGraph.empty(5)) == frozenset(range(5))
+    assert greedy_mis(CommGraph.from_edges(5, [])) == frozenset(range(5))
     assert greedy_mis(path(3)) == frozenset({0, 2})
 
 
@@ -178,7 +178,7 @@ def test_cds_examples():
     assert set(cds) == {1, 2, 3}
     assert len(cds) == oracles.brute_min_cds_size(5, path(5).edges)
     with pytest.raises(ValidationError):
-        greedy_cds(CommGraph.empty(3))
+        greedy_cds(CommGraph.from_edges(3, []))
 
 
 def check_independent_maximal(g, nodes):
@@ -232,7 +232,7 @@ def test_mis_not_larger_than_optimal():
 
 
 def test_x_configuration_examples():
-    assert compute_x(CommGraph.empty(9)) == (9, True)
+    assert compute_x(CommGraph.from_edges(9, [])) == (9, True)
     assert compute_x(CommGraph.complete(9)) == (1, True)
     r = compute_x(path(3))
     assert r.value == 2 and r.exact

@@ -243,7 +243,7 @@ def test_cost_functions_are_positive_monotone_subadditive(a, b):
 def test_linear_latency():
     # weight 2 held from t=1 to 4 costs 6; the unobserving system adds 0
     tr = make_trace([1.0], [[2.0, 0.0]])
-    sched = ReportSchedule(((Report(4.0, (0,)),), ()))
+    sched = oracles.schedule_of(((Report(4.0, (0,)),), ()))
     assert evaluate(sched, tr, 1, 0.5, UnityCost()).latency == 6.0
 
 
@@ -252,7 +252,7 @@ def test_linear_latency():
 
 def test_gamma_second_smallest_of_three():
     tr = make_trace([1.0], [[1.0, 1.0, 1.0]])
-    sched = ReportSchedule(
+    sched = oracles.schedule_of(
         (
             (Report(5.0, (0,)),),
             (Report(3.0, (0,)),),
@@ -267,13 +267,13 @@ def test_gamma_second_smallest_of_three():
 
 def test_gamma_immediate_single_report():
     tr = make_trace([2.5], [[1.0]])
-    sched = ReportSchedule(((Report(2.5, (0,)),),))
+    sched = oracles.schedule_of(((Report(2.5, (0,)),),))
     assert evaluate(sched, tr, 1, 0.5, UnityCost()).latency == 0.0
 
 
 def test_gamma_short_of_k_is_infinite():
     tr = make_trace([1.0], [[1.0, 1.0]])
-    sched = ReportSchedule(((Report(2.0, (0,)),), ()))
+    sched = oracles.schedule_of(((Report(2.0, (0,)),), ()))
     out = evaluate(sched, tr, 2, 0.5, UnityCost())
     assert out.infeasible_events == (0,)
     assert out.latency == math.inf
@@ -282,7 +282,7 @@ def test_gamma_short_of_k_is_infinite():
 def test_gamma_ignores_nonobservers_and_forwards():
     # system 1 has zero weight; its mention of event 0 must not count
     tr = make_trace([1.0], [[1.0, 0.0, 1.0]])
-    sched = ReportSchedule(
+    sched = oracles.schedule_of(
         (
             (Report(4.0, (0,)),),
             (Report(2.0, (), forwarded_ids=(0,)),),
@@ -295,29 +295,29 @@ def test_gamma_ignores_nonobservers_and_forwards():
 
 def test_gamma_input_errors():
     tr = make_trace([1.0], [[1.0]])
-    unknown = ReportSchedule(((Report(1.0, (42,)),),))
+    unknown = oracles.schedule_of(((Report(1.0, (42,)),),))
     with pytest.raises(ValidationError, match="unknown event id"):
         evaluate(unknown, tr, 1, 0.5, UnityCost())
-    sched = ReportSchedule(((Report(1.0, (0,)),),))
+    sched = oracles.schedule_of(((Report(1.0, (0,)),),))
     with pytest.raises(ValidationError):
         evaluate(sched, tr, 2, 0.5, UnityCost())
 
 
 def test_from_fired_puts_reports_in_system_order():
     # firing order interleaves the systems; pairs arrive out of report order
-    sched = ReportSchedule.from_fired(
+    sched = ReportSchedule(
         2,
         [1, 0, 1, 0],
         [1.0, 2.0, 3.0, 4.0],
         ([3, 0, 1, 0, 2], [9, 5, 7, 6, 8]),
         ([2, 2], [1, 3]),
     )
-    assert sched == ReportSchedule(
-        (
-            (Report(2.0, (7,)), Report(4.0, (9,))),
-            (Report(1.0, (5, 6)), Report(3.0, (8,), (1, 3))),
-        )
+    per = (
+        (Report(2.0, (7,)), Report(4.0, (9,))),
+        (Report(1.0, (5, 6)), Report(3.0, (8,), (1, 3))),
     )
+    assert sched == oracles.schedule_of(per)
+    assert sched.per_system == per
 
 
 def seeded_instance(rng, n_events=None, n_systems=None):
@@ -344,7 +344,7 @@ def random_full_schedule(rng, trace):
             t = max(t, oracles.time_of(trace, j)) + float(rng.uniform(0.01, 1.0))
             reports.append(Report(t, (j,)))
         per.append(tuple(reports))
-    return ReportSchedule(tuple(per))
+    return oracles.schedule_of(tuple(per))
 
 
 def test_gamma_matches_naive_on_random_schedules():
@@ -371,7 +371,7 @@ def test_gamma_matches_naive_on_random_schedules():
 
 def test_evaluate_single_system_example():
     tr = make_trace([0.0], [[1.0]])
-    sched = ReportSchedule(((Report(2.0, (0,)),),))
+    sched = oracles.schedule_of(((Report(2.0, (0,)),),))
     out = evaluate(sched, tr, 1, 0.5, UnityCost())
     assert out.comm == 1.0
     assert out.latency == 2.0
@@ -382,7 +382,7 @@ def test_evaluate_single_system_example():
 def test_evaluate_two_system_shared_event():
     # both observers are charged latency to the global first-report time
     tr = make_trace([0.0], [[1.0, 1.0]])
-    sched = ReportSchedule(
+    sched = oracles.schedule_of(
         ((Report(1.0, (0,)),), (Report(3.0, (0,)),))
     )
     out = evaluate(sched, tr, 1, 0.5, UnityCost())
@@ -395,7 +395,7 @@ def test_evaluate_two_system_shared_event():
 
 def test_evaluate_infeasible_event():
     tr = make_trace([0.0, 1.0], [[1.0], [1.0]])
-    sched = ReportSchedule(((Report(0.5, (0,)),),))
+    sched = oracles.schedule_of(((Report(0.5, (0,)),),))
     out = evaluate(sched, tr, 1, 0.5, UnityCost())
     assert out.infeasible_events == (1,)
     assert math.isinf(out.latency)
@@ -405,18 +405,18 @@ def test_evaluate_infeasible_event():
 
 def test_evaluate_rejects_bad_schedules():
     tr = make_trace([1.0, 2.0], [[1.0, 0.0], [1.0, 1.0]])
-    early = ReportSchedule(((Report(0.5, (0,)),), ()))
+    early = oracles.schedule_of(((Report(0.5, (0,)),), ()))
     with pytest.raises(ValidationError, match="precedes"):
         evaluate(early, tr, 1, 0.5, UnityCost())
-    unobserved = ReportSchedule(((), (Report(3.0, (0, 1)),)))
+    unobserved = oracles.schedule_of(((), (Report(3.0, (0, 1)),)))
     with pytest.raises(ValidationError, match="forwarded"):
         evaluate(unobserved, tr, 1, 0.5, UnityCost())
-    disordered = ReportSchedule(
+    disordered = oracles.schedule_of(
         ((Report(2.0, (0,)), Report(2.0, (1,))), ())
     )
     with pytest.raises(ValidationError, match="strictly increase"):
         evaluate(disordered, tr, 1, 0.5, UnityCost())
-    ok = ReportSchedule(((Report(2.5, (0, 1)),), ()))
+    ok = oracles.schedule_of(((Report(2.5, (0, 1)),), ()))
     with pytest.raises(ValidationError):
         evaluate(ok, tr, 1, 1.5, UnityCost())
     with pytest.raises(ValidationError):
@@ -424,7 +424,7 @@ def test_evaluate_rejects_bad_schedules():
 
 
 def test_validate_rejects_a_trace_with_another_system_count():
-    sched = ReportSchedule(((Report(1.0, (0,)),),))
+    sched = oracles.schedule_of(((Report(1.0, (0,)),),))
     with pytest.raises(
         ValidationError, match="^schedule has 1 systems, trace has 2$"
     ):
@@ -435,7 +435,7 @@ def test_validate_returns_the_pairs_evaluate_scores():
     tr = make_trace(
         [1.0, 2.0, 3.0], [[1.0, 0.0], [0.5, 0.25], [0.0, 2.0]], [10, 30, 20]
     )
-    sched = ReportSchedule((
+    sched = oracles.schedule_of((
         (Report(2.5, (30, 10)),),
         (Report(3.5, (20, 30), forwarded_ids=(10,)),),
     ))
@@ -449,11 +449,11 @@ def test_validate_returns_the_pairs_evaluate_scores():
 
 def test_evaluate_counts_forwarded_copies_for_free():
     tr = make_trace([1.0], [[1.0, 1.0]])
-    with_fwd = ReportSchedule(
+    with_fwd = oracles.schedule_of(
         ((Report(2.0, (0,)),), (Report(3.0, (0,), forwarded_ids=()),))
     )
     # same schedule, but system 2 only forwards instead of originating
-    only_fwd = ReportSchedule(
+    only_fwd = oracles.schedule_of(
         ((Report(2.0, (0,)),), (Report(3.0, (), forwarded_ids=(0,)),))
     )
     full = evaluate(with_fwd, tr, 2, 0.5, UnityCost())
@@ -482,7 +482,7 @@ def test_one_system_counts_once_toward_k():
     # K counts distinct observers: system 0 reporting event 0 twice, or
     # carrying it twice in one report, is still one observer
     tr = make_trace([1.0], [[1.0, 1.0]])
-    twice = ReportSchedule(((Report(2.0, (0,)), Report(3.0, (0,))), ()))
+    twice = oracles.schedule_of(((Report(2.0, (0,)), Report(3.0, (0,))), ()))
     out = evaluate(twice, tr, 2, 0.5, UnityCost())
     assert out.comm == 2.0
     assert out.infeasible_events == (0,)
@@ -491,7 +491,7 @@ def test_one_system_counts_once_toward_k():
     # with K=1 the earlier of the two reports delivers it
     assert evaluate(twice, tr, 1, 0.5, UnityCost()).latency == 2.0
     for doubled in (Report(2.0, (0, 0)), Report(2.0, (0,), (0,))):
-        sched = ReportSchedule(((doubled,), ()))
+        sched = oracles.schedule_of(((doubled,), ()))
         with pytest.raises(ValidationError, match="carries event 0 twice"):
             evaluate(sched, tr, 2, 0.5, UnityCost())
 
@@ -521,7 +521,7 @@ def random_schedule(rng, trace):
             )
             reports.append(Report(t, orig, fwd))
         per.append(tuple(reports))
-    return ReportSchedule(tuple(per))
+    return oracles.schedule_of(tuple(per))
 
 
 def test_evaluate_matches_loop_evaluator_bit_for_bit():
@@ -560,7 +560,7 @@ def test_evaluate_permutation_symmetry():
         sched = random_full_schedule(rng, tr)
         perm = rng.permutation(3)
         tr_p = EventTrace(tr.times, tr.weights[:, perm], tr.event_ids)
-        sched_p = ReportSchedule(tuple(sched.per_system[p] for p in perm))
+        sched_p = oracles.schedule_of(tuple(sched.per_system[p] for p in perm))
         a = evaluate(sched, tr, 1, 0.5, LogCost())
         b = evaluate(sched_p, tr_p, 1, 0.5, LogCost())
         assert a.total == pytest.approx(b.total, abs=1e-9)
@@ -586,7 +586,7 @@ def test_latency_never_decreases_when_reports_delay():
         per = list(sched.per_system)
         per[i] = tuple(reports)
         delayed = evaluate(
-            ReportSchedule(tuple(per)), tr, 1, 0.5, UnityCost())
+            oracles.schedule_of(tuple(per)), tr, 1, 0.5, UnityCost())
         assert delayed.latency >= base.latency - 1e-12
 
 

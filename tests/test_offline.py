@@ -13,7 +13,6 @@ from aggsim.model import (
     EventTrace,
     LogCost,
     Report,
-    ReportSchedule,
     UnityCost,
     ValidationError,
     evaluate,
@@ -69,7 +68,7 @@ def test_k2_lower_bounds_feasible_two_report_schedules():
     # every schedule where both systems report everything in one batch
     for ta in times:
         for tb in times:
-            sched = ReportSchedule(
+            sched = oracles.schedule_of(
                 (
                     (Report(ta, tuple(tr.event_ids)),),
                     (Report(tb, tuple(tr.event_ids)),),

@@ -179,7 +179,7 @@ def test_engine_validation():
     with pytest.raises(ValidationError):
         run_thb(tr, pol, 3, UnityCost())
     with pytest.raises(ValidationError):
-        run_net(tr, pol, 1, UnityCost(), CommGraph.empty(3))
+        run_net(tr, pol, 1, UnityCost(), CommGraph.from_edges(3, []))
     with pytest.raises(ValidationError):
         run_thb(tr, ThresholdPolicy((1.0, 1.0)), 1, UnityCost())
 
@@ -262,10 +262,10 @@ def test_scale_property_unity_cost():
     theta = 0.37
     base = run_thb(tr, ThresholdPolicy(theta), 1, UnityCost())
     # power-of-two scaling is exact in floating point
-    tr4 = tr.with_weights(np.asarray(tr.weights) * 4.0)
+    tr4 = EventTrace(tr.times, tr.weights * 4.0, tr.event_ids)
     s4 = run_thb(tr4, ThresholdPolicy(theta * 4.0), 1, UnityCost())
     assert s4 == base
-    tr3 = tr.with_weights(np.asarray(tr.weights) * 3.0)
+    tr3 = EventTrace(tr.times, tr.weights * 3.0, tr.event_ids)
     s3 = run_thb(tr3, ThresholdPolicy(theta * 3.0), 1, UnityCost())
     for a, b in zip(base.per_system, s3.per_system):
         assert len(a) == len(b)
@@ -341,7 +341,7 @@ def test_net_equals_thb_on_empty_graph():
             for cost in (LogCost(), UnityCost()):
                 thb = run_thb(trace, pol, k, cost)
                 net = run_net(
-                    trace, pol, k, cost, CommGraph.empty(tr.n_systems)
+                    trace, pol, k, cost, CommGraph.from_edges(tr.n_systems, [])
                 )
                 assert thb == net
 
@@ -356,7 +356,7 @@ def test_thb_crossing_tied_with_next_arrival_waits_for_it():
         (Report(1.0, (0, 1)),),
         (Report(2.0, (0,)), Report(6.0, (2,))),
     )
-    assert s == run_net(tr, pol, 1, UnityCost(), CommGraph.empty(2))
+    assert s == run_net(tr, pol, 1, UnityCost(), CommGraph.from_edges(2, []))
 
 
 def test_same_instant_cascade_after_removal():
