@@ -66,12 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-trace", help="generate a random workload trace")
     p.add_argument("--arrivals", choices=("constant", "poisson", "weibull"),
                    default="poisson")
-    p.add_argument("--interval", type=float, default=20.0,
-                   help="gap for constant arrivals")
+    p.add_argument("--interval", type=float, default=None,
+                   help="gap for constant arrivals (default 20)")
     p.add_argument("--mean", type=float, default=None,
-                   help="mean gap for poisson/weibull arrivals")
-    p.add_argument("--shape", type=float, default=0.5,
-                   help="weibull shape parameter")
+                   help="mean gap for poisson (default 20) or weibull "
+                        "(default 10) arrivals")
+    p.add_argument("--shape", type=float, default=None,
+                   help="weibull shape parameter (default 0.5)")
     p.add_argument("--magnitude", choices=("big", "small"), default="big")
     p.add_argument("--events", type=int, required=True)
     p.add_argument("--systems", type=int, required=True)
@@ -96,8 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", default="unity")
     p.add_argument("--theta", type=float, default=None,
                    help="trigger threshold (default: matching bound formula)")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="cost spread used for the default threshold")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="cost spread used for the default threshold "
+                        "(default 1)")
     p.add_argument("--graph", default=None, help="graph file for --alg net")
     p.add_argument("--out", default=None, help="write the schedule as CSV")
 
@@ -141,15 +143,29 @@ def _schedule_csv(schedule: ReportSchedule) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each arrival model with the gen-trace options it takes
+_ARRIVALS = {
+    "constant": (ConstantArrivals, ("interval",)),
+    "poisson": (PoissonArrivals, ("mean",)),
+    "weibull": (WeibullArrivals, ("shape", "mean")),
+}
+
+
 def _cmd_gen_trace(args) -> int:
-    # an unset --mean leaves each arrival model's own default
-    mean = {} if args.mean is None else {"mean": args.mean}
-    if args.arrivals == "constant":
-        arrivals = ConstantArrivals(args.interval)
-    elif args.arrivals == "poisson":
-        arrivals = PoissonArrivals(**mean)
-    else:
-        arrivals = WeibullArrivals(args.shape, **mean)
+    model, takes = _ARRIVALS[args.arrivals]
+    given = {
+        name: value
+        for name in ("interval", "mean", "shape")
+        if (value := getattr(args, name)) is not None
+    }
+    for name in given:
+        if name not in takes:
+            users = [a for a, (_, opts) in _ARRIVALS.items() if name in opts]
+            raise ValidationError(
+                f"--{name} applies only to --arrivals {' or '.join(users)}"
+            )
+    # an unset option leaves the model's own default
+    arrivals = model(**given)
     magnitude = BigEvents() if args.magnitude == "big" else SmallEvents()
     spec = WorkloadSpec(arrivals, magnitude, args.events, args.systems, args.seed)
     trace = gen_trace(spec, ensure_k=args.ensure_k)
@@ -195,7 +211,10 @@ def _cmd_run(args) -> int:
         x = 1
     theta = args.theta
     if theta is None:
-        theta = default_theta(n, args.K, args.alpha, args.rho, x)
+        alpha = 1.0 if args.alpha is None else args.alpha
+        theta = default_theta(n, args.K, alpha, args.rho, x)
+    elif args.alpha is not None:
+        raise ValidationError("--alpha applies only without --theta")
     policy = ThresholdPolicy(theta)
     if args.alg == "thb":
         sched = run_thb(trace, policy, args.K, cost_fn)
@@ -239,6 +258,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    if args.x is not None and args.mode != "partial":
+        raise ValidationError("--x applies only to --mode partial")
     if args.mode == "none":
         theta = threshold_none(args.N, args.K, args.alpha, args.rho)
         cr = ratio_none(args.N, args.K, args.alpha)

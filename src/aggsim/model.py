@@ -160,9 +160,6 @@ class EventTrace:
     def n_systems(self) -> int:
         return int(self.weights.shape[1])
 
-    def __len__(self) -> int:
-        return self.n_events
-
     def index_of(self, event_id: int) -> int:
         return int(self.rows_of(np.array([event_id], dtype=np.int64))[0])
 
@@ -285,16 +282,14 @@ class CommCost:
     def of_total(self, total_weight: float) -> float:
         raise NotImplementedError
 
-    def of_totals(self, totals: np.ndarray) -> np.ndarray:
-        """`of_total` of every entry, equal to the scalar calls bit for bit."""
-        return np.array([self.of_total(x) for x in totals.tolist()])
-
     def of_reports(
         self, report: np.ndarray, weights: np.ndarray, n_reports: int
     ) -> np.ndarray:
         """Cost of each of `n_reports` reports from (report, weight) pairs
-        sorted by report; each report's weights are added left to right."""
-        return self.of_totals(_report_totals(report, weights, n_reports))
+        sorted by report; each report's weights are added left to right,
+        and its cost is `of_total` of the sum, bit for bit."""
+        totals = _report_totals(report, weights, n_reports)
+        return np.array([self.of_total(x) for x in totals.tolist()])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -308,8 +303,6 @@ class UnityCost(CommCost):
 
     def of_total_array(self, totals: np.ndarray) -> np.ndarray:
         return np.ones_like(totals)
-
-    of_totals = of_total_array  # exact: every entry is 1.0
 
     def of_reports(
         self, report: np.ndarray, weights: np.ndarray, n_reports: int

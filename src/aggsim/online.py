@@ -4,8 +4,8 @@ Each system accumulates latency penalty for its locally unreported events
 and fires a report the instant that penalty reaches theta times the cost of
 the report it would send. Three intercommunication settings:
 
-  * none: systems run independently, as one array march over the event
-    rows (run_thb);
+  * none: systems run independently, as one scalar scan per system over
+    the rows it observes (run_thb);
   * full: every report is overheard by everyone, and events already
     reported K times are dropped from all pending sets (run_itc);
   * partial: overhearing is restricted to graph neighbors, with
@@ -421,81 +421,56 @@ def run_thb(
 ) -> ReportSchedule:
     """Independent threshold reporting; every observer reports everything.
 
-    Systems share nothing, so no event heap is needed: a march over the
-    rows keeps every system's running sums and crossing time as arrays.
-    Before row r arrives, each system whose crossing lies before t_r fires
-    there, at most once, since it then holds nothing until r. Then r's
-    observers add its weight and recompute their crossings. A system whose
-    report would cost theta times c(W) for pending weight W crosses at
-    (theta * c(W) + sum w * t_e) / W, the same float steps as the engine's
-    `_push`. As there, the crossing is floored at t_r: pending weight only
-    grows here, so the floor binds only when rounding would put a report
-    before the event it carries.
+    Systems share nothing (N copies of dynamic TCP ACK), so each runs one
+    scalar scan over the rows it observes. Before an arrival at t it fires
+    if its crossing lies before t, then adds the arrival and recomputes the
+    crossing (theta * c(W) + sum w * t_e) / W for pending weight W with
+    `_push`'s float steps, floored at t as there; the floor binds only when
+    rounding would put a report before the event it carries. A report
+    carries the observed rows since the previous one, so only its length is
+    kept. A trailing pending set whose crossing overflows to inf (a tiny
+    pending weight) is never reported, as in the engine.
     """
     n = trace.n_systems
     check_k(k, n)
-    m = trace.n_events
-    times = trace.times.tolist()
-    observed = trace.weights > 0
-    obs_row, obs_sys = np.nonzero(observed)
-    obs_w = trace.weights[observed]
-    obs_wt = obs_w * trace.times[obs_row]
-    cuts = np.searchsorted(obs_row, np.arange(m + 1)).tolist()
     theta = policy.theta
-
-    acc_w = np.zeros(n)
-    acc_wt = np.zeros(n)
-    cross = np.full(n, math.inf)  # inf: nothing pending, or never crosses
-    fired_system: list[np.ndarray] = []
-    fired_time: list[np.ndarray] = []
-    fired_step: list[int] = []
-    fired_count: list[int] = []
-
-    def fire(due: np.ndarray, step: int) -> None:
-        fired_system.append(due)
-        fired_time.append(cross[due])
-        fired_step.append(step)
-        fired_count.append(due.size)
-        acc_w[due] = 0.0
-        acc_wt[due] = 0.0
-        cross[due] = math.inf
-
-    # tiny pending weights overflow the crossing to inf, as in the engine
-    with np.errstate(over="ignore"):
-        for row in range(m):
-            t = times[row]
-            due = np.flatnonzero(cross < t)
-            if due.size:
-                fire(due, row)
-            a, b = cuts[row], cuts[row + 1]
-            seen_by = obs_sys[a:b]
-            pend_w = acc_w[seen_by] + obs_w[a:b]
-            pend_wt = acc_wt[seen_by] + obs_wt[a:b]
-            acc_w[seen_by] = pend_w
-            acc_wt[seen_by] = pend_wt
-            target = theta * cost_fn.of_totals(pend_w)
-            cross[seen_by] = np.maximum((target + pend_wt) / pend_w, t)
-    fire(np.flatnonzero(cross < math.inf), m)
-
-    # Observation (i, r) rides in the first report i fires at a step after
-    # r: search it among the reports in (system, step) order.
-    system = np.concatenate(fired_system)
-    step = np.repeat(fired_step, fired_count)
-    order = np.argsort(system, kind="stable")
-    col_sys, col_row = np.nonzero(observed.T)
-    pos = np.searchsorted(
-        system[order] * (m + 1) + step[order],
-        col_sys * (m + 1) + col_row,
-        "right",
-    )
-    # a pending set whose crossing overflows to inf is never reported
-    kept = pos < system.size
-    kept[kept] = system[order[pos[kept]]] == col_sys[kept]
+    of_total = cost_fn.of_total
+    count = [0] * n
+    fired_time: list[float] = []
+    lens: list[int] = []
+    carried: list[np.ndarray] = []
+    for i in range(n):
+        rows = np.flatnonzero(trace.weights[:, i] > 0)
+        ts, ws = trace.times[rows].tolist(), trace.weights[rows, i].tolist()
+        acc_w = acc_wt = 0.0
+        cross = math.inf
+        start = len(fired_time)
+        last = 0  # the observed rows before `last` are reported
+        for j, (t, w) in enumerate(zip(ts, ws)):
+            if cross < t:
+                fired_time.append(cross)
+                lens.append(j - last)
+                last = j
+                acc_w = acc_wt = 0.0
+            acc_w += w
+            acc_wt += w * t
+            cross = (theta * of_total(acc_w) + acc_wt) / acc_w
+            if cross < t:
+                cross = t
+        if cross < math.inf:
+            fired_time.append(cross)
+            lens.append(rows.size - last)
+            last = rows.size
+        count[i] = len(fired_time) - start
+        carried.append(rows[:last])
     return ReportSchedule(
         n,
-        system,
-        np.concatenate(fired_time),
-        (order[pos[kept]], trace.ids_of(col_row[kept])),
+        np.repeat(np.arange(n), count),
+        fired_time,
+        (
+            np.repeat(np.arange(len(lens)), lens),
+            trace.ids_of(np.concatenate(carried)),
+        ),
     )
 
 

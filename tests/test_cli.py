@@ -28,6 +28,7 @@ from aggsim.online import (
 )
 from aggsim.workload import (
     BigEvents,
+    ConstantArrivals,
     PoissonArrivals,
     WeibullArrivals,
     WorkloadSpec,
@@ -87,6 +88,16 @@ def test_theta_partial_needs_x(capsys):
     assert f"theta={repr(threshold_none(10, 1, 1.0, 0.5))}" in out
 
 
+@pytest.mark.parametrize("mode", ["none", "full"])
+def test_theta_x_only_with_partial(capsys, mode):
+    code, out, err = run_cli(
+        capsys, "theta", "--mode", mode, "--N", "10", "--rho", "0.5",
+        "--x", "7",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --x applies only to --mode partial\n"
+
+
 def test_theta_invalid_setting(capsys):
     code, _, err = run_cli(
         capsys, "theta", "--mode", "none", "--N", "0", "--rho", "0.5",
@@ -135,6 +146,17 @@ def test_run_default_theta_is_the_bound_formula(capsys, two_event_csv):
     )
     assert code == 0
     assert f"theta={repr(threshold_none(1, 1, 1.0, 0.5))}" in out
+
+
+@pytest.mark.parametrize("alpha", ["nan", "2"])
+def test_run_alpha_only_without_theta(capsys, two_event_csv, alpha):
+    # --alpha only sets the default threshold, so --theta leaves it unused
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "thb", "--trace", two_event_csv,
+        "--theta", "0.5", "--alpha", alpha,
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --alpha applies only without --theta\n"
 
 
 @pytest.mark.parametrize("alg", ["thb", "itc"])
@@ -315,7 +337,11 @@ def test_gen_trace_deterministic(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "arrivals, model",
-    [("poisson", PoissonArrivals()), ("weibull", WeibullArrivals())],
+    [
+        ("poisson", PoissonArrivals()),
+        ("weibull", WeibullArrivals()),
+        ("constant", ConstantArrivals()),
+    ],
 )
 def test_gen_trace_default_mean_is_the_models(capsys, tmp_path, arrivals, model):
     p = tmp_path / "t.csv"
@@ -326,6 +352,38 @@ def test_gen_trace_default_mean_is_the_models(capsys, tmp_path, arrivals, model)
     assert code == 0
     want = gen_trace(WorkloadSpec(model, BigEvents(), 20, 3, 4))
     assert EventTrace.from_csv(p) == want
+
+
+def test_gen_trace_passes_the_models_options(capsys, tmp_path):
+    p = tmp_path / "t.csv"
+    code, _, _ = run_cli(
+        capsys, "gen-trace", "--arrivals", "weibull", "--shape", "2",
+        "--mean", "3", "--events", "20", "--systems", "3", "--out", str(p),
+    )
+    assert code == 0
+    spec = WorkloadSpec(WeibullArrivals(2.0, 3.0), BigEvents(), 20, 3, 0)
+    want = gen_trace(spec)
+    assert EventTrace.from_csv(p) == want
+
+
+@pytest.mark.parametrize(
+    "arrivals, option, users",
+    [
+        ("poisson", "--interval", "constant"),
+        ("constant", "--mean", "poisson or weibull"),
+        ("constant", "--shape", "weibull"),
+    ],
+)
+def test_gen_trace_rejects_options_of_other_arrivals(
+    capsys, tmp_path, arrivals, option, users
+):
+    p = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "gen-trace", "--arrivals", arrivals, option, "5",
+        "--events", "20", "--systems", "3", "--out", str(p),
+    )
+    assert code == 1 and out == "" and not p.exists()
+    assert err == f"error: {option} applies only to --arrivals {users}\n"
 
 
 def test_gen_trace_ensure_k(capsys, tmp_path):

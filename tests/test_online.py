@@ -330,7 +330,7 @@ def test_net_equals_itc_on_complete_graph():
 
 
 def test_net_equals_thb_on_empty_graph():
-    # the thb march against the engine with nobody to hear a report,
+    # the thb scan against the engine with nobody to hear a report,
     # also at large absolute times
     rng = np.random.default_rng(107)
     for _ in range(40):
@@ -357,6 +357,47 @@ def test_thb_crossing_tied_with_next_arrival_waits_for_it():
         (Report(2.0, (0,)), Report(6.0, (2,))),
     )
     assert s == run_net(tr, pol, 1, UnityCost(), CommGraph.from_edges(2, []))
+    # the same tie on one system, which reports the third event alone one
+    # unit of latency after it arrives
+    one = EventTrace([0.0, 1.0, 2.5], [[1.0], [1.0], [1.0]])
+    s = run_thb(one, pol, 1, UnityCost())
+    assert s.per_system == ((Report(1.0, (0, 1)), Report(3.5, (2,))),)
+
+
+@st.composite
+def thb_instances(draw):
+    """Small traces with integer or real gaps, sparse and subnormal
+    weights and permuted event ids."""
+    def exactly(size, values):
+        return st.lists(values, min_size=size, max_size=size)
+
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 40))
+    gap = st.one_of(
+        st.integers(1, 3).map(float), st.floats(0.01, 3.0, allow_nan=False)
+    )
+    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 1e-310])
+    return (
+        EventTrace(
+            np.cumsum(draw(exactly(m, gap))),
+            np.array(draw(exactly(m, exactly(n, grid)))),
+            draw(st.permutations(range(100, 100 + m))),
+        ),
+        ThresholdPolicy(draw(st.sampled_from([0.1, 0.5, 1.0, 2.5]))),
+        draw(st.sampled_from([UnityCost(), LogCost()])),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(thb_instances())
+def test_thb_system_equals_engine_on_its_column(inst):
+    # systems without intercommunication are independent: each one's
+    # reports are the engine's on its own column, bit for bit
+    tr, pol, cost = inst
+    got = run_thb(tr, pol, 1, cost).per_system
+    for i in range(tr.n_systems):
+        column = EventTrace(tr.times, tr.weights[:, [i]], tr.event_ids)
+        assert got[i] == run_itc(column, pol, 1, cost).per_system[0]
 
 
 def test_same_instant_cascade_after_removal():
