@@ -19,7 +19,6 @@ against worst-case latency; each carries its proven competitive ratio.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -146,25 +145,25 @@ def default_theta(
 
 
 class _Engine:
-    """Continuous-time trigger engine shared by the three algorithms.
+    """Continuous-time trigger engine of `run_itc` and `run_net`.
 
     State per system: the pending rows, an insertion-ordered dict from row
-    to weight, with running weight sums, and a version counter that
-    invalidates stale heap entries; no floor is kept, since a crossing is
-    floored at the instant of its push (the arrival or fire causing it).
-    The heap is keyed by (crossing time, system) so simultaneous crossings
-    fire one at a time in index order; every fire updates shared counts
-    before the next candidate is examined, which realizes same-instant
-    cascades.
+    to weight, with running weight sums, and `cross`, the system's next
+    crossing time (inf while nothing is pending). A system has one
+    candidate report instant at a time, so a change of its pending set
+    overwrites its crossing. No floor is kept: a crossing is floored at the
+    instant of the change that sets it (the arrival or fire causing it).
+    The next fire is the least crossing, the first system among equal
+    ones, so simultaneous crossings fire one at a time in index order;
+    every fire updates shared counts before the next minimum is taken,
+    which realizes same-instant cascades.
 
     Cost model: each event row's observers and weights are read once, as
-    Python lists, and each observer pushes one heap entry. A fire pushes
-    one entry per system whose pending set it shrank (`touched`), after
-    the report has reached everyone who hears it, instead of one per
-    removed event. Only the last push of a system between two pops can be
-    current, and current keys (time, system, version) are unique, so the
-    fire order and every float are those of pushing on each change. A fire
-    bumps no version: it popped its sender's only current entry.
+    Python lists, and each observer's crossing is recomputed once. Each
+    row and each fire take one `min` over the N crossings. A fire
+    recomputes the crossing of each system whose pending set it shrank
+    (`touched`) once, after the report has reached everyone who hears it,
+    instead of once per removed event.
 
     With no graph, a report is heard by everyone and an event leaves every
     pending set once it has K reports (`_share_full`); with a graph,
@@ -200,14 +199,13 @@ class _Engine:
         self.pend: list[dict[int, float]] = [dict() for _ in range(n)]
         self.acc_w = [0.0] * n
         self.acc_wt = [0.0] * n
-        self.version = [0] * n
+        self.cross = [math.inf] * n
         self.fired_system: list[int] = []
         self.fired_time: list[float] = []
         self.orig_rows: list[int] = []
         self.orig_len: list[int] = []
         self.fwd_rows: list[int] = []
         self.fwd_len: list[int] = []
-        self.heap: list[tuple[float, int, int]] = []
         self.times: list[float] = trace.times.tolist()
         self.touched: set[int] = set()
 
@@ -225,18 +223,18 @@ class _Engine:
 
     # -- per-system trigger bookkeeping
 
-    def _push(self, i: int, t: float) -> None:
-        """Replace i's heap entry, at instant t, by its next crossing: the
-        earliest t' >= t at which sum w * (t' - t_e) over i's pending events
-        reaches theta times the cost of the report i would send."""
-        self.version[i] += 1
+    def _recross(self, i: int, t: float) -> None:
+        """Set i's crossing, at instant t, to the earliest t' >= t at which
+        sum w * (t' - t_e) over i's pending events reaches theta times the
+        cost of the report i would send (inf if nothing is pending)."""
         if not self.pend[i]:
+            self.cross[i] = math.inf
             return
         target = self.policy.theta * self.cost_fn.of_total(self.acc_w[i])
         t_star = (target + self.acc_wt[i]) / self.acc_w[i]
         if t_star < t:
             t_star = t
-        heapq.heappush(self.heap, (t_star, i, self.version[i]))
+        self.cross[i] = t_star
 
     def _remove(self, i: int, row: int) -> None:
         """Drop a delivered event from i's pending set; the firing report
@@ -256,6 +254,7 @@ class _Engine:
         self.pend[i].clear()
         self.acc_w[i] = 0.0
         self.acc_wt[i] = 0.0
+        self.cross[i] = math.inf
         # tell the others about i's report and get the rows i forwards; a
         # stored bound method would keep the engine alive in a cycle
         if self.net:
@@ -263,7 +262,7 @@ class _Engine:
         else:
             fwd = self._share_full(i, rows)
         for r in self.touched:
-            self._push(r, t)
+            self._recross(r, t)
         self.touched.clear()
         self.fired_system.append(i)
         self.fired_time.append(t)
@@ -362,37 +361,31 @@ class _Engine:
 
     def _drain(self, until: float) -> None:
         """Fire every crossing strictly before `until`, cascades included."""
-        heap = self.heap
-        while heap:
-            t_star, i, ver = heap[0]
-            if ver != self.version[i]:
-                heapq.heappop(heap)
-                continue
-            if t_star >= until:
-                break
-            heapq.heappop(heap)
-            self._fire(i, t_star)
+        cross = self.cross
+        t_star = min(cross)
+        while t_star < until:
+            self._fire(cross.index(t_star), t_star)
+            t_star = min(cross)
 
     def run(self) -> ReportSchedule:
         weights = self.trace.weights
         theta = self.policy.theta
         of_total = self.cost_fn.of_total
         pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
-        version, heap = self.version, self.heap
+        cross = self.cross
         for row, t in enumerate(self.times):
             self._drain(t)
             w_row = weights[row]
             seen_by = np.flatnonzero(w_row > 0)
-            # arrivals in system order; the crossing is _push's, inlined
+            # arrivals in system order; the crossing is _recross's, inlined
             for i, w in zip(seen_by.tolist(), w_row[seen_by].tolist()):
                 pend[i][row] = w
                 aw = acc_w[i] = acc_w[i] + w
                 awt = acc_wt[i] = acc_wt[i] + w * t
-                version[i] += 1
                 t_star = (theta * of_total(aw) + awt) / aw
                 if t_star < t:
                     t_star = t
-                heapq.heappush(heap, (t_star, i, version[i]))
+                cross[i] = t_star
         self._drain(math.inf)
         return self._schedule()
 
@@ -425,8 +418,8 @@ def run_thb(
     scalar scan over the rows it observes. Before an arrival at t it fires
     if its crossing lies before t, then adds the arrival and recomputes the
     crossing (theta * c(W) + sum w * t_e) / W for pending weight W with
-    `_push`'s float steps, floored at t as there; the floor binds only when
-    rounding would put a report before the event it carries. A report
+    `_recross`'s float steps, floored at t as there; the floor binds only
+    when rounding would put a report before the event it carries. A report
     carries the observed rows since the previous one, so only its length is
     kept. A trailing pending set whose crossing overflows to inf (a tiny
     pending weight) is never reported, as in the engine.

@@ -512,8 +512,9 @@ class _ReferenceEngine:
 
     It pushes a heap entry on every arrival and on every removal and reads
     each arrival's weight through a numpy scalar. `_Engine` must produce
-    the same schedule, bit for bit, with one entry per observer per row
-    and one per touched system per fire.
+    the same schedule, bit for bit, from one crossing time per system and
+    no heap, recomputing a crossing once per observer per row and once per
+    touched system per fire.
     """
 
     def __init__(

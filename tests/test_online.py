@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggsim.graph import CommGraph, Role, compute_x, greedy_cds, greedy_mis
+from aggsim.graph import (
+    CommGraph,
+    Role,
+    compute_x,
+    gen_udg,
+    greedy_cds,
+    greedy_mis,
+)
 from aggsim.model import (
     EventTrace,
     LogCost,
@@ -611,6 +618,64 @@ def test_engine_matches_push_per_change_reference(inst):
         )
         got = run_net(tr, pol, k, cost, roled)
         assert got == oracles.reference_net(tr, pol, k, cost, roled)
+
+
+def test_identical_columns_fire_lowest_index_first_at_n64():
+    # 64 systems see the same events with the same weights, so all their
+    # crossings tie exactly: the K lowest-indexed systems report, one
+    # after another at each instant, and the rest never do
+    rng = np.random.default_rng(211)
+    m, n = 12, 64
+    col = rng.uniform(0.1, 1.0, size=m)
+    tr = EventTrace(
+        np.cumsum(rng.uniform(0.1, 2.0, size=m)), np.tile(col[:, None], n)
+    )
+    pol = ThresholdPolicy(0.5)
+    for cost in (UnityCost(), LogCost()):
+        for k in (1, 3):
+            s = run_itc(tr, pol, k, cost)
+            assert set(s.system.tolist()) == set(range(k))
+            reports = s.per_system
+            for i in range(1, k):
+                assert reports[i] == reports[0]
+            assert len(reports[0]) > 1
+            assert run_net(tr, pol, k, cost, CommGraph.complete(n)) == s
+
+
+def sparse_trace(rng, n, m, k):
+    """m events at N systems, about 90% of weights zero and each row seen
+    by at least k systems."""
+    w = rng.uniform(0.05, 1.0, size=(m, n))
+    w[rng.uniform(size=(m, n)) < 0.9] = 0.0
+    for r in range(m):
+        if (w[r] > 0).sum() < k:
+            w[r][rng.choice(n, size=k, replace=False)] = rng.uniform(
+                0.05, 1.0, size=k
+            )
+    return EventTrace(np.cumsum(rng.exponential(0.05, size=m)), w)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_engine_matches_reference_on_sparse_rows_at_larger_n(n):
+    g = gen_udg(n, 8, seed=n)
+    roled = [
+        g.with_roles(
+            [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(n)]
+        )
+        for forward in (greedy_mis(g), greedy_cds(g))
+    ]
+    rng = np.random.default_rng(223 + n)
+    pol = ThresholdPolicy(0.5)
+    for k in (1, 3):
+        tr = sparse_trace(rng, n, 300, k)
+        for cost in (UnityCost(), LogCost()):
+            assert run_itc(tr, pol, k, cost) == oracles.reference_itc(
+                tr, pol, k, cost
+            )
+            for graph in roled:
+                assert run_net(tr, pol, k, cost, graph) == (
+                    oracles.reference_net(tr, pol, k, cost, graph)
+                )
 
 
 def test_removal_floors_the_next_crossing():
