@@ -678,6 +678,36 @@ def test_engine_matches_reference_on_sparse_rows_at_larger_n(n):
                 )
 
 
+@pytest.mark.parametrize("n", [30, 100])
+def test_net_tables_keep_observer_masks(n):
+    # after a run, withhold nodes hold no mask (they keep masks only for
+    # pending rows) and forward nodes hold one nonzero int mask per row,
+    # naming only observers of the row, in the first-seen order of `seen`
+    g = gen_udg(n, 8, seed=n)
+    rng = np.random.default_rng(223 + n)
+    traces = {k: sparse_trace(rng, n, 300, k) for k in (1, 3)}
+    for forward in (greedy_mis(g), greedy_cds(g)):
+        roled = g.with_roles(
+            [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(n)]
+        )
+        for k, tr in traces.items():
+            observers = [
+                sum(1 << s for s in np.flatnonzero(w > 0).tolist())
+                for w in tr.weights
+            ]
+            engine = _Engine(tr, ThresholdPolicy(0.5), k, UnityCost(), roled)
+            engine.run()
+            assert any(engine.known[v] for v in forward)
+            for v, known in enumerate(engine.known):
+                if v not in forward:
+                    assert known == {}, (k, v)
+                    continue
+                assert list(engine.seen[v]) == list(known)
+                for row, mask in known.items():
+                    assert type(mask) is int and mask, (k, v, row)
+                    assert mask & ~observers[row] == 0, (k, v, row)
+
+
 def test_removal_floors_the_next_crossing():
     # With log cost, dropping a delivered event cuts the report cost, so
     # the rest of the pending set can be past its own crossing (here
