@@ -143,6 +143,9 @@ def default_theta(
 
 # ------------------------------------------------------------- the engine
 
+# fewest forward-table entries added between two sweeps of dead rows
+_SWEEP_MIN = 1024
+
 
 class _Engine:
     """Continuous-time trigger engine of `run_itc` and `run_net`.
@@ -176,10 +179,20 @@ class _Engine:
     Graph-limited mode adds a `known` table per node, mapping event rows to
     their origin sets: the systems known to have reported them, as an int
     mask whose bit s stands for system s (40 B at N=100 and 160 B at
-    N=1000, where even an empty set takes 216 B). A forward node keeps its
-    whole table, the first-seen rank of each row in it (`seen`) and its
-    `dirty` rows: those whose mask grew since the node last forwarded them.
-    A withhold node keeps masks only for the rows it has pending.
+    N=1000, where even an empty set takes 216 B). A forward node keeps a
+    mask for each live row it has heard of, the first-seen rank of each
+    (`seen`, drawn from the counter `rank`), its `dirty` rows: those whose
+    mask grew since the node last forwarded them, and the rows it has
+    `sent` with K or more origin bits, which never turn dirty again. A
+    withhold node keeps masks only for the rows it has pending.
+
+    A row is live while some system has it pending or some forward node
+    has it dirty. A payload names only rows its sender has pending or
+    dirty; a row turns dirty only when a payload names it or its holder
+    originates it, and no row turns pending after its arrival. So a dead
+    row is never named again, and `_evict` drops dead rows from the
+    forward tables whenever these have doubled since the last sweep,
+    which bounds them by the live rows instead of the trace length.
     """
 
     def __init__(
@@ -218,8 +231,11 @@ class _Engine:
             self.known: list[dict[int, int]] = [dict() for _ in range(n)]
             self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
             self.dirty: list[set[int]] = [set() for _ in range(n)]
+            self.sent: list[set[int]] = [set() for _ in range(n)]
             self.neighbors = [graph.neighbors(i) for i in range(n)]
             self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
+            self.rank = 0
+            self.sweep_at = _SWEEP_MIN
         else:
             self.cnt = [0] * trace.n_events
 
@@ -298,10 +314,22 @@ class _Engine:
         node last forwarded it; first hearing of a row and originating it
         both count as growth. Forwarding clears a row, so each (event,
         origin count) pair is forwarded at most once and a fire scans only
-        dirty rows. They are visited in first-seen order (the order of the
-        whole table) because receivers call `_remove` in payload order,
-        which fixes the order of the float subtractions from the running
-        sums.
+        dirty rows. They are visited in first-seen order because receivers
+        call `_remove` in payload order, which fixes the order of the float
+        subtractions from the running sums. A node's first-seen ranks come
+        from `rank`, one counter over all nodes, so they rise in first-seen
+        order at every node and stay valid when `_evict` drops rows.
+
+        A forward node that has sent a row with K or more origin bits
+        records it in `sent` and never marks it dirty again. On a static
+        graph every neighbor then holds K origins of the row, so the row
+        has left their pending sets and a later forward of it would remove
+        nothing. By induction over fires, a node's first K-bit send of a
+        row falls at the same fire as when such rows were re-forwarded: the
+        dropped forwards reach only neighbors already at K origins, and no
+        node first hears a row from one. The rows left in each payload keep
+        their order, so removals, their float order, fire times and
+        originated rows are unchanged; only the forwarded rows shrink.
 
         A withhold node reads its table only to test the origin count of a
         pending row, and every observer of an event receives it before any
@@ -310,8 +338,10 @@ class _Engine:
         """
         known_i = self.known[i]
         fwd_rows: list[int] = []
+        k = self.k
+        rank = self.rank
         if self.is_forward[i]:
-            seen_i, dirty_i = self.seen[i], self.dirty[i]
+            seen_i, dirty_i, sent_i = self.seen[i], self.dirty[i], self.sent[i]
             payload = {row: 1 << i | known_i.get(row, 0) for row in rows}
             for row in sorted(dirty_i, key=seen_i.__getitem__):
                 if row not in payload:
@@ -319,27 +349,33 @@ class _Engine:
                     fwd_rows.append(row)
             dirty_i.clear()
             for row in rows:
-                seen_i.setdefault(row, len(seen_i))
+                if row not in seen_i:
+                    seen_i[row] = rank
+                    rank += 1
                 known_i[row] = payload[row]
-            dirty_i.update(rows)
+            sent_i.update(
+                row for row, mask in payload.items() if mask.bit_count() >= k
+            )
+            dirty_i.update(row for row in rows if row not in sent_i)
         else:
             payload = dict.fromkeys(rows, 1 << i)
             for row in rows:
                 known_i.pop(row, None)
-        k = self.k
         for r in self.neighbors[i]:
             known_r = self.known[r]
             pend_r = self.pend[r]
             if self.is_forward[r]:
-                seen_r, dirty_r = self.seen[r], self.dirty[r]
+                seen_r, dirty_r, sent_r = self.seen[r], self.dirty[r], self.sent[r]
                 for row, origins in payload.items():
                     old = known_r.get(row, 0)
                     if not old:
-                        seen_r[row] = len(seen_r)
+                        seen_r[row] = rank
+                        rank += 1
                     merged = old | origins
                     if merged != old:
                         known_r[row] = merged
-                        dirty_r.add(row)
+                        if row not in sent_r:
+                            dirty_r.add(row)
                     if merged.bit_count() >= k and row in pend_r:
                         self._remove(r, row)
             else:
@@ -352,8 +388,34 @@ class _Engine:
                         self._remove(r, row)
                     else:
                         known_r[row] = merged
+        self.rank = rank
+        if rank >= self.sweep_at:
+            self._evict()
         fwd_rows.sort()
         return fwd_rows
+
+    def _evict(self) -> None:
+        """Drop dead rows from the forward tables and set the next sweep.
+
+        Every forward-table entry took a rank, so `rank` counts the entries
+        ever added. The next sweep comes once as many entries have been
+        added as this one kept, and at least `_SWEEP_MIN`. So after every
+        payload the tables hold fewer than max(2 * kept, kept + _SWEEP_MIN)
+        entries, and sweeps cost O(1) per entry added.
+        """
+        live = set().union(*self.pend, *self.dirty)
+        kept = 0
+        for f, forward in enumerate(self.is_forward):
+            if forward:
+                self.known[f] = {
+                    row: mask for row, mask in self.known[f].items() if row in live
+                }
+                self.seen[f] = {
+                    row: rank for row, rank in self.seen[f].items() if row in live
+                }
+                self.sent[f] &= live
+                kept += len(self.known[f])
+        self.sweep_at = self.rank + max(kept, _SWEEP_MIN)
 
     # -- main loop
 

@@ -557,6 +557,7 @@ class _ReferenceEngine:
             self.known: list[dict[int, set[int]]] = [dict() for _ in range(n)]
             self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
             self.dirty: list[set[int]] = [set() for _ in range(n)]
+            self.sent: list[set[int]] = [set() for _ in range(n)]
             self.neighbors = [sorted(graph.neighbors(i)) for i in range(n)]
             self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
             self._share = type(self)._propagate_net
@@ -646,7 +647,9 @@ class _ReferenceEngine:
         fire scans only dirty rows. They are visited in first-seen order
         (the order of the whole table) because receivers call `_remove` in
         payload order, which fixes the order of the float subtractions from
-        the running sums.
+        the running sums. A row a forward node has sent with K or more
+        origins is never dirty there again: every neighbor holds K origins
+        of it from then on.
 
         A withhold node reads its table only to test the origin count of a
         pending row, and every observer of an event receives it before any
@@ -655,6 +658,7 @@ class _ReferenceEngine:
         """
         known_i = self.known[i]
         fwd_rows: list[int] = []
+        k = self.k
         if self.is_forward[i]:
             seen_i, dirty_i = self.seen[i], self.dirty[i]
             payload = {row: {i}.union(known_i.get(row, ())) for row in rows}
@@ -671,11 +675,14 @@ class _ReferenceEngine:
                     known_i[row] = set()
                 known_i[row].add(i)
                 dirty_i.add(row)
+            self.sent[i].update(
+                row for row, origins in payload.items() if len(origins) >= k
+            )
+            dirty_i -= self.sent[i]
         else:
             payload = {row: {i} for row in rows}
             for row in rows:
                 known_i.pop(row, None)
-        k = self.k
         for r in self.neighbors[i]:
             known_r = self.known[r]
             pend_r = self.pend[r]
@@ -688,7 +695,7 @@ class _ReferenceEngine:
                         merged = known_r[row] = set()
                     size = len(merged)
                     merged |= origins
-                    if len(merged) > size:
+                    if len(merged) > size and row not in self.sent[r]:
                         dirty_r.add(row)
                     if len(merged) >= k and row in pend_r:
                         self._remove(r, row, t)

@@ -28,7 +28,14 @@ from aggsim.model import (
     evaluate,
 )
 from aggsim.offline import offline_lb
+from aggsim.workload import (
+    PoissonArrivals,
+    SmallEvents,
+    WorkloadSpec,
+    gen_trace,
+)
 from aggsim.online import (
+    _SWEEP_MIN,
     ThresholdPolicy,
     _Engine,
     balance_root,
@@ -569,13 +576,19 @@ def net_instances(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(net_instances())
 def test_net_matches_full_scan_reference(inst):
+    # the full-scan reference also re-forwards rows already sent with K
+    # origins: the reports and the rows they originate match bit for bit,
+    # and every row run_net forwards, the reference forwards in that report
     tr, g, pol, k, cost = inst
     got = run_net(tr, pol, k, cost, g)
     want = oracles.full_scan_net(tr, pol, k, cost, g)
-    assert got == want
+    for name in ("system", "time", "orig_report", "orig_id"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert [r.time.hex() for rs in got.per_system for r in rs] == [
         r.time.hex() for rs in want.per_system for r in rs
     ]
+    forwarded = set(zip(got.fwd_report.tolist(), got.fwd_id.tolist()))
+    assert forwarded <= set(zip(want.fwd_report.tolist(), want.fwd_id.tolist()))
 
 
 @st.composite
@@ -682,7 +695,9 @@ def test_engine_matches_reference_on_sparse_rows_at_larger_n(n):
 def test_net_tables_keep_observer_masks(n):
     # after a run, withhold nodes hold no mask (they keep masks only for
     # pending rows) and forward nodes hold one nonzero int mask per row,
-    # naming only observers of the row, in the first-seen order of `seen`
+    # naming only observers of the row, in the first-seen order of `seen`,
+    # whose counter ranks rise in table order; rows sent with K origins
+    # are among them
     g = gen_udg(n, 8, seed=n)
     rng = np.random.default_rng(223 + n)
     traces = {k: sparse_trace(rng, n, 300, k) for k in (1, 3)}
@@ -703,9 +718,108 @@ def test_net_tables_keep_observer_masks(n):
                     assert known == {}, (k, v)
                     continue
                 assert list(engine.seen[v]) == list(known)
+                ranks = list(engine.seen[v].values())
+                assert ranks == sorted(set(ranks)), (k, v)
+                assert engine.sent[v] <= known.keys(), (k, v)
                 for row, mask in known.items():
                     assert type(mask) is int and mask, (k, v, row)
                     assert mask & ~observers[row] == 0, (k, v, row)
+
+
+class _RuleProbe(_Engine):
+    """`_Engine` that records the rows each forward node has sent with K or
+    more origin bits and checks that the node never names them again."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.done = [set() for _ in range(self.n)]
+
+    def _propagate_net(self, i, rows):
+        known_i = self.known[i]
+        masks = {row: known_i[row] for row in self.dirty[i]}
+        masks.update((row, 1 << i | known_i.get(row, 0)) for row in rows)
+        fwd = super()._propagate_net(i, rows)
+        if self.is_forward[i]:
+            named = set(rows).union(fwd)
+            assert not named & self.done[i], (i, named & self.done[i])
+            self.done[i].update(
+                row for row in named if masks[row].bit_count() >= self.k
+            )
+        return fwd
+
+
+def test_forward_nodes_never_resend_rows_sent_with_k_origins():
+    rng = np.random.default_rng(233)
+    spu = gen_udg(100, 18, seed=7)
+    for k in (1, 3):
+        cases = [
+            (gen_udg(n, 8, seed=n), sparse_trace(rng, n, 300, k)) for n in (30, 100)
+        ]
+        spec = WorkloadSpec(PoissonArrivals(), SmallEvents(), 1000, 100, 7)
+        cases.append((spu, gen_trace(spec, ensure_k=k)))
+        for g, tr in cases:
+            for forward in (greedy_mis(g), greedy_cds(g)):
+                roled = g.with_roles(
+                    [Role.FORWARD if v in forward else Role.WITHHOLD
+                     for v in range(g.n)]
+                )
+                engine = _RuleProbe(tr, ThresholdPolicy(0.5), k, UnityCost(),
+                                    roled)
+                engine.run()
+                assert any(engine.done), (k, g.n)
+
+
+class _TableProbe(_Engine):
+    """`_Engine` that checks after every sweep that the forward tables keep
+    only live rows, and after every payload the bound between sweeps."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.forward = [v for v in range(self.n) if self.is_forward[v]]
+        self.sweeps = self.kept = self.peak = 0
+
+    def entries(self):
+        return sum(len(self.known[v]) for v in self.forward)
+
+    def _evict(self):
+        super()._evict()
+        live = set().union(*self.pend, *self.dirty)
+        for v in self.forward:
+            assert self.known[v].keys() <= live
+            assert list(self.seen[v]) == list(self.known[v])
+            assert self.sent[v] <= live
+        self.kept = self.entries()
+        self.sweeps += 1
+
+    def _propagate_net(self, i, rows):
+        fwd = super()._propagate_net(i, rows)
+        entries = self.entries()
+        assert entries < max(2 * self.kept, self.kept + _SWEEP_MIN)
+        self.peak = max(self.peak, entries)
+        return fwd
+
+
+def test_net_forward_tables_stay_bounded_by_live_rows():
+    # a sweep keeps only live rows and the tables at most double between
+    # sweeps, so their peak follows the live rows, not the trace length:
+    # it barely moves from m=1000 to m=4000, where every forward node
+    # hears about four times as many rows
+    n = 100
+    g = gen_udg(n, 8, seed=n)
+    for forward in (greedy_mis(g), greedy_cds(g)):
+        roled = g.with_roles(
+            [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(n)]
+        )
+        added, peaks = [], []
+        for m in (1000, 4000):
+            tr = sparse_trace(np.random.default_rng(229), n, m, 1)
+            engine = _TableProbe(tr, ThresholdPolicy(0.5), 1, UnityCost(), roled)
+            engine.run()
+            assert engine.sweeps > 0, m
+            added.append(engine.rank)
+            peaks.append(engine.peak)
+        assert added[1] > 3 * added[0], added
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_removal_floors_the_next_crossing():
