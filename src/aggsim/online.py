@@ -163,10 +163,16 @@ class _Engine:
 
     Cost model: each event row's observers and weights are read once, as
     Python lists, and each observer's crossing is recomputed once. Each
-    row and each fire take one `min` over the N crossings. A fire
-    recomputes the crossing of each system whose pending set it shrank
-    (`touched`) once, after the report has reached everyone who hears it,
-    instead of once per removed event.
+    row and each fire take one `min` over the N crossings, inline in
+    `run`. Overhearing removes rows in place in the receiver loops of
+    `_share_full` and `_propagate_net`, with the tables held in locals: no
+    method call per removed row, and each removal subtracts the row's
+    weight and weight times time from the running sums (zeroed when the
+    set empties), in payload order. A fire then recomputes, in `_fire`,
+    the crossing of each system whose pending set it shrank (`touched`)
+    once, after the report has reached everyone who hears it, instead of
+    once per removed event. Only the full-scan reference in
+    `tests/oracles.py` removes rows through a method (`_remove`).
 
     With no graph, a report is heard by everyone and an event leaves every
     pending set once it has K reports (`_share_full`); with a graph,
@@ -182,17 +188,19 @@ class _Engine:
     N=1000, where even an empty set takes 216 B). A forward node keeps a
     mask for each live row it has heard of, the first-seen rank of each
     (`seen`, drawn from the counter `rank`), its `dirty` rows: those whose
-    mask grew since the node last forwarded them, and the rows it has
-    `sent` with K or more origin bits, which never turn dirty again. A
-    withhold node keeps masks only for the rows it has pending.
+    mask grew by a reception since the node last sent them, and the rows
+    it has `sent` with K or more origin bits, which never turn dirty
+    again. A withhold node keeps masks only for the rows it has pending.
+    Each node's neighbors are split once by role, into `fwd_nbrs` and
+    `wh_nbrs` (each ascending), so no reception tests a role.
 
     A row is live while some system has it pending or some forward node
     has it dirty. A payload names only rows its sender has pending or
-    dirty; a row turns dirty only when a payload names it or its holder
-    originates it, and no row turns pending after its arrival. So a dead
-    row is never named again, and `_evict` drops dead rows from the
-    forward tables whenever these have doubled since the last sweep,
-    which bounds them by the live rows instead of the trace length.
+    dirty; a row turns dirty only when a payload names it, and no row
+    turns pending after its arrival. So a dead row is never named again,
+    and `_evict` drops dead rows from the forward tables whenever these
+    have doubled since the last sweep, which bounds them by the live rows
+    instead of the trace length.
     """
 
     def __init__(
@@ -232,56 +240,52 @@ class _Engine:
             self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
             self.dirty: list[set[int]] = [set() for _ in range(n)]
             self.sent: list[set[int]] = [set() for _ in range(n)]
-            self.neighbors = [graph.neighbors(i) for i in range(n)]
-            self.is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
+            is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
+            self.is_forward = is_forward
+            self.fwd_nbrs = [
+                [r for r in graph.neighbors(i) if is_forward[r]] for i in range(n)
+            ]
+            self.wh_nbrs = [
+                [r for r in graph.neighbors(i) if not is_forward[r]]
+                for i in range(n)
+            ]
             self.rank = 0
             self.sweep_at = _SWEEP_MIN
         else:
             self.cnt = [0] * trace.n_events
 
-    # -- per-system trigger bookkeeping
-
-    def _recross(self, i: int, t: float) -> None:
-        """Set i's crossing, at instant t, to the earliest t' >= t at which
-        sum w * (t' - t_e) over i's pending events reaches theta times the
-        cost of the report i would send (inf if nothing is pending)."""
-        if not self.pend[i]:
-            self.cross[i] = math.inf
-            return
-        target = self.policy.theta * self.cost_fn.of_total(self.acc_w[i])
-        t_star = (target + self.acc_wt[i]) / self.acc_w[i]
-        if t_star < t:
-            t_star = t
-        self.cross[i] = t_star
-
-    def _remove(self, i: int, row: int) -> None:
-        """Drop a delivered event from i's pending set; the firing report
-        reschedules i once it has been heard everywhere."""
-        w = self.pend[i].pop(row)
-        self.acc_w[i] -= w
-        self.acc_wt[i] -= w * self.times[row]
-        if not self.pend[i]:
-            self.acc_w[i] = 0.0
-            self.acc_wt[i] = 0.0
-        self.touched.add(i)
-
     # -- firing and intercommunication
 
     def _fire(self, i: int, t: float) -> None:
-        rows = list(self.pend[i])
-        self.pend[i].clear()
-        self.acc_w[i] = 0.0
-        self.acc_wt[i] = 0.0
-        self.cross[i] = math.inf
+        pend, acc_w, acc_wt, cross = self.pend, self.acc_w, self.acc_wt, self.cross
+        rows = list(pend[i])
+        pend[i].clear()
+        acc_w[i] = 0.0
+        acc_wt[i] = 0.0
+        cross[i] = math.inf
         # tell the others about i's report and get the rows i forwards; a
         # stored bound method would keep the engine alive in a cycle
         if self.net:
             fwd = self._propagate_net(i, rows)
         else:
             fwd = self._share_full(i, rows)
-        for r in self.touched:
-            self._recross(r, t)
-        self.touched.clear()
+        # the crossing of each shrunk set: the earliest t' >= t at which
+        # sum w * (t' - t_e) over its pending events reaches theta times
+        # the cost of the report it would send (inf if nothing is pending)
+        touched = self.touched
+        if touched:
+            theta = self.policy.theta
+            of_total = self.cost_fn.of_total
+            for r in touched:
+                if pend[r]:
+                    aw = acc_w[r]
+                    t_star = (theta * of_total(aw) + acc_wt[r]) / aw
+                    if t_star < t:
+                        t_star = t
+                    cross[r] = t_star
+                else:
+                    cross[r] = math.inf
+            touched.clear()
         self.fired_system.append(i)
         self.fired_time.append(t)
         self.orig_rows += rows
@@ -292,13 +296,21 @@ class _Engine:
     def _share_full(self, i: int, rows: list[int]) -> tuple[()]:
         """Everyone hears i; an event with K reports leaves every pending
         set, in system order."""
-        pend = self.pend
+        pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
+        times, touched, cnt, k = self.times, self.touched, self.cnt, self.k
         for row in rows:
-            self.cnt[row] += 1
-            if self.cnt[row] == self.k:
-                for r in range(self.n):
-                    if row in pend[r]:
-                        self._remove(r, row)
+            cnt[row] += 1
+            if cnt[row] == k:
+                t_row = times[row]
+                for r, pend_r in enumerate(pend):
+                    if row in pend_r:
+                        w = pend_r.pop(row)
+                        acc_w[r] -= w
+                        acc_wt[r] -= w * t_row
+                        if not pend_r:
+                            acc_w[r] = 0.0
+                            acc_wt[r] = 0.0
+                        touched.add(r)
         return ()
 
     def _propagate_net(self, i: int, rows: list[int]) -> list[int]:
@@ -307,18 +319,21 @@ class _Engine:
         The payload maps each event row to the mask of reporting systems i
         can vouch for: bit i for rows it originates now and, when i has the
         forward role, its known origins of those rows plus every dirty row.
-        Receivers OR the payload into their masks, in ascending index
-        order, and drop pending events whose mask has K bits set.
+        Receivers OR the payload into their masks and drop pending events
+        whose mask has K bits set, in place and in payload order.
 
-        A row is dirty at a forward node when its mask there grew since the
-        node last forwarded it; first hearing of a row and originating it
-        both count as growth. Forwarding clears a row, so each (event,
-        origin count) pair is forwarded at most once and a fire scans only
-        dirty rows. They are visited in first-seen order because receivers
-        call `_remove` in payload order, which fixes the order of the float
-        subtractions from the running sums. A node's first-seen ranks come
-        from `rank`, one counter over all nodes, so they rise in first-seen
-        order at every node and stay valid when `_evict` drops rows.
+        A row is dirty at a forward node when a reception grew its mask
+        there since the node last sent it; first hearing of a row counts as
+        growth. Sending a row, forwarded or originated, sends the node's
+        whole mask of it, so a fire clears every dirty row and originating
+        a row leaves it clean: a second send with the same mask would grow
+        no receiver's mask and remove nothing. Each (event, mask) pair is
+        sent at most once per node and a fire scans only dirty rows. They
+        are visited in first-seen order because receivers remove rows in
+        payload order, which fixes the order of the float subtractions from
+        the running sums. A node's first-seen ranks come from `rank`, one
+        counter over all nodes, so they rise in first-seen order at every
+        node and stay valid when `_evict` drops rows.
 
         A forward node that has sent a row with K or more origin bits
         records it in `sent` and never marks it dirty again. On a static
@@ -331,12 +346,26 @@ class _Engine:
         their order, so removals, their float order, fire times and
         originated rows are unchanged; only the forwarded rows shrink.
 
+        Forward receivers take the whole payload one at a time, in
+        ascending index order; then each payload row reaches the withhold
+        receivers, ascending, which suits the short payloads of frequent
+        fires. The order across receivers is free: a receiver's removals
+        touch only its own pending set, sums and masks, and still run in
+        payload order; `seen` ranks are compared only within one node; and
+        only forward receivers draw ranks, in the ascending order one pass
+        over all neighbors would take, so every rank, and with `rank` every
+        `_evict`, is as in that pass.
+
         A withhold node reads its table only to test the origin count of a
         pending row, and every observer of an event receives it before any
         report can name it. So a withhold node merges only rows it has
         pending and drops a row's mask when the row leaves its pending set.
+        With K=1 every merge reaches K bits, so a withhold node never holds
+        a mask and its receiver loop skips the merge.
         """
-        known_i = self.known[i]
+        known, pend, acc_w, acc_wt = self.known, self.pend, self.acc_w, self.acc_wt
+        times, touched = self.times, self.touched
+        known_i = known[i]
         fwd_rows: list[int] = []
         k = self.k
         rank = self.rank
@@ -356,38 +385,52 @@ class _Engine:
             sent_i.update(
                 row for row, mask in payload.items() if mask.bit_count() >= k
             )
-            dirty_i.update(row for row in rows if row not in sent_i)
         else:
             payload = dict.fromkeys(rows, 1 << i)
             for row in rows:
                 known_i.pop(row, None)
-        for r in self.neighbors[i]:
-            known_r = self.known[r]
-            pend_r = self.pend[r]
-            if self.is_forward[r]:
-                seen_r, dirty_r, sent_r = self.seen[r], self.dirty[r], self.sent[r]
-                for row, origins in payload.items():
-                    old = known_r.get(row, 0)
-                    if not old:
-                        seen_r[row] = rank
-                        rank += 1
-                    merged = old | origins
-                    if merged != old:
-                        known_r[row] = merged
-                        if row not in sent_r:
-                            dirty_r.add(row)
-                    if merged.bit_count() >= k and row in pend_r:
-                        self._remove(r, row)
-            else:
-                for row, origins in payload.items():
-                    if row not in pend_r:
-                        continue
+        for r in self.fwd_nbrs[i]:
+            known_r, pend_r = known[r], pend[r]
+            seen_r, dirty_r, sent_r = self.seen[r], self.dirty[r], self.sent[r]
+            for row, origins in payload.items():
+                old = known_r.get(row, 0)
+                if not old:
+                    seen_r[row] = rank
+                    rank += 1
+                merged = old | origins
+                if merged != old:
+                    known_r[row] = merged
+                    if row not in sent_r:
+                        dirty_r.add(row)
+                if row in pend_r and merged.bit_count() >= k:
+                    w = pend_r.pop(row)
+                    acc_w[r] -= w
+                    acc_wt[r] -= w * times[row]
+                    if not pend_r:
+                        acc_w[r] = 0.0
+                        acc_wt[r] = 0.0
+                    touched.add(r)
+        wh_nbrs = self.wh_nbrs[i]
+        for row, origins in payload.items():
+            t_row = times[row]
+            for r in wh_nbrs:
+                pend_r = pend[r]
+                if row not in pend_r:
+                    continue
+                if k > 1:
+                    known_r = known[r]
                     merged = known_r.get(row, 0) | origins
-                    if merged.bit_count() >= k:
-                        known_r.pop(row, None)
-                        self._remove(r, row)
-                    else:
+                    if merged.bit_count() < k:
                         known_r[row] = merged
+                        continue
+                    known_r.pop(row, None)
+                w = pend_r.pop(row)
+                acc_w[r] -= w
+                acc_wt[r] -= w * t_row
+                if not pend_r:
+                    acc_w[r] = 0.0
+                    acc_wt[r] = 0.0
+                touched.add(r)
         self.rank = rank
         if rank >= self.sweep_at:
             self._evict()
@@ -419,25 +462,22 @@ class _Engine:
 
     # -- main loop
 
-    def _drain(self, until: float) -> None:
-        """Fire every crossing strictly before `until`, cascades included."""
-        cross = self.cross
-        t_star = min(cross)
-        while t_star < until:
-            self._fire(cross.index(t_star), t_star)
-            t_star = min(cross)
-
     def run(self) -> ReportSchedule:
         weights = self.trace.weights
         theta = self.policy.theta
         of_total = self.cost_fn.of_total
         pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
         cross = self.cross
+        fire = self._fire
         for row, t in enumerate(self.times):
-            self._drain(t)
+            # fire every crossing strictly before t, cascades included
+            t_star = min(cross)
+            while t_star < t:
+                fire(cross.index(t_star), t_star)
+                t_star = min(cross)
             w_row = weights[row]
             seen_by = np.flatnonzero(w_row > 0)
-            # arrivals in system order; the crossing is _recross's, inlined
+            # arrivals in system order; the crossing as in _fire
             for i, w in zip(seen_by.tolist(), w_row[seen_by].tolist()):
                 pend[i][row] = w
                 aw = acc_w[i] = acc_w[i] + w
@@ -446,7 +486,10 @@ class _Engine:
                 if t_star < t:
                     t_star = t
                 cross[i] = t_star
-        self._drain(math.inf)
+        t_star = min(cross)
+        while t_star < math.inf:
+            fire(cross.index(t_star), t_star)
+            t_star = min(cross)
         return self._schedule()
 
     def _schedule(self) -> ReportSchedule:
@@ -478,7 +521,7 @@ def run_thb(
     scalar scan over the rows it observes. Before an arrival at t it fires
     if its crossing lies before t, then adds the arrival and recomputes the
     crossing (theta * c(W) + sum w * t_e) / W for pending weight W with
-    `_recross`'s float steps, floored at t as there; the floor binds only
+    the engine's float steps, floored at t as there; the floor binds only
     when rounding would put a report before the event it carries. A report
     carries the observed rows since the previous one, so only its length is
     kept. A trailing pending set whose crossing overflows to inf (a tiny

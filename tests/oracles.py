@@ -464,12 +464,26 @@ class _FullScanNetEngine(_Engine):
     Every node keeps the origin set of every event it has heard of. On each
     fire a forward node scans its whole table in first-seen order and
     forwards every row whose set is larger than when it last forwarded it.
+    Receivers take the payload in ascending index order and drop delivered
+    events one `_remove` call at a time.
     """
 
     def __init__(self, trace, policy, k, cost_fn, graph):
         super().__init__(trace, policy, k, cost_fn, graph=graph)
         self.known = [dict() for _ in range(self.n)]
         self.fwd_sent = [dict() for _ in range(self.n)]
+        self.neighbors = [graph.neighbors(i) for i in range(self.n)]
+
+    def _remove(self, i, row):
+        """Drop a delivered event from i's pending set; the firing report
+        reschedules i once it has been heard everywhere."""
+        w = self.pend[i].pop(row)
+        self.acc_w[i] -= w
+        self.acc_wt[i] -= w * self.times[row]
+        if not self.pend[i]:
+            self.acc_w[i] = 0.0
+            self.acc_wt[i] = 0.0
+        self.touched.add(i)
 
     def _propagate_net(self, i, rows):
         known_i = self.known[i]
@@ -640,16 +654,17 @@ class _ReferenceEngine:
         Receivers merge the payload and drop pending events whose known
         origin count reaches K.
 
-        A row is dirty at a forward node when its origin set there grew
-        since the node last forwarded it; first hearing of a row and
-        originating it both count as growth. Forwarding clears a row, so
-        each (event, origin-set size) pair is forwarded at most once and a
-        fire scans only dirty rows. They are visited in first-seen order
-        (the order of the whole table) because receivers call `_remove` in
-        payload order, which fixes the order of the float subtractions from
-        the running sums. A row a forward node has sent with K or more
-        origins is never dirty there again: every neighbor holds K origins
-        of it from then on.
+        A row is dirty at a forward node when a reception grew its origin
+        set there since the node last sent it; first hearing of a row
+        counts as growth. Sending a row, forwarded or originated, sends the
+        node's whole set of it, so a fire clears every dirty row and an
+        originated row stays clean: each (event, origin-set size) pair is
+        sent at most once per node and a fire scans only dirty rows. They
+        are visited in first-seen order (the order of the whole table)
+        because receivers call `_remove` in payload order, which fixes the
+        order of the float subtractions from the running sums. A row a
+        forward node has sent with K or more origins is never dirty there
+        again: every neighbor holds K origins of it from then on.
 
         A withhold node reads its table only to test the origin count of a
         pending row, and every observer of an event receives it before any
@@ -674,11 +689,9 @@ class _ReferenceEngine:
                     seen_i[row] = len(seen_i)
                     known_i[row] = set()
                 known_i[row].add(i)
-                dirty_i.add(row)
             self.sent[i].update(
                 row for row, origins in payload.items() if len(origins) >= k
             )
-            dirty_i -= self.sent[i]
         else:
             payload = {row: {i} for row in rows}
             for row in rows:

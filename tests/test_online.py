@@ -480,9 +480,10 @@ def test_forward_node_reforwards_only_grown_rows():
     # star around forward node 1, K=2. Node 0 reports events 0 and 1 at
     # t=0.55; node 1 forwards both with its own event 2 at t=1. Node 2 then
     # reports event 0 at t=2, so only event 0's origin set at node 1 grows.
-    # Node 1's second report (event 3, t=3.3) re-forwards event 0 and the
-    # event 2 it originated, not event 1, and the two origins it carries
-    # drop node 3's pending copy of event 0 before node 3's own crossing.
+    # Node 1's second report (event 3, t=3.3) re-forwards event 0 only: not
+    # event 1, and not the event 2 it originated, whose whole mask its first
+    # report sent. The two origins it carries for event 0 drop node 3's
+    # pending copy of it before node 3's own crossing.
     # With unity cost, sum w*(t - t_e) = theta_i crosses where weights
     # w/theta_i do at theta = 1, so at theta = 1 node i runs as with its
     # column times theta_i and its own theta_i = (1.0, 0.8, 2.0, 10.0).
@@ -505,9 +506,14 @@ def test_forward_node_reforwards_only_grown_rows():
     first, second = s.per_system[1]
     assert (first.time, second.time) == (1.0, pytest.approx(3.3))
     assert (first.event_ids, first.forwarded_ids) == ((2,), (0, 1))
-    assert (second.event_ids, second.forwarded_ids) == ((3,), (0, 2))
+    assert (second.event_ids, second.forwarded_ids) == ((3,), (0,))
     assert s.per_system[3] == ()
-    assert s == oracles.full_scan_net(tr, pol, 2, UnityCost(), g)
+    assert s == oracles.reference_net(tr, pol, 2, UnityCost(), g)
+    # the full-scan reference also re-forwards the originated event 2
+    full = oracles.full_scan_net(tr, pol, 2, UnityCost(), g)
+    assert full.per_system[1][1].forwarded_ids == (0, 2)
+    for name in ("system", "time", "orig_report", "orig_id"):
+        assert np.array_equal(getattr(s, name), getattr(full, name)), name
 
 
 def test_forwarded_rows_are_removed_in_first_seen_order():
@@ -691,6 +697,31 @@ def test_engine_matches_reference_on_sparse_rows_at_larger_n(n):
                 )
 
 
+def test_engine_matches_reference_on_dense_rows():
+    # the shape of the sweeps' overhearing configs (SPU): every system
+    # observes every row, so each report removes rows at many receivers
+    n = 40
+    g = gen_udg(n, 8, seed=41)
+    roled = [
+        g.with_roles(
+            [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(n)]
+        )
+        for forward in (greedy_mis(g), greedy_cds(g))
+    ]
+    pol = ThresholdPolicy(0.5)
+    for k in (1, 2, 3):
+        tr = gen_trace(WorkloadSpec(PoissonArrivals(), SmallEvents(), 200, n, k))
+        assert (tr.weights > 0).all()
+        for cost in (UnityCost(), LogCost()):
+            assert run_itc(tr, pol, k, cost) == oracles.reference_itc(
+                tr, pol, k, cost
+            )
+            for graph in roled:
+                assert run_net(tr, pol, k, cost, graph) == (
+                    oracles.reference_net(tr, pol, k, cost, graph)
+                )
+
+
 @pytest.mark.parametrize("n", [30, 100])
 def test_net_tables_keep_observer_masks(n):
     # after a run, withhold nodes hold no mask (they keep masks only for
@@ -728,11 +759,13 @@ def test_net_tables_keep_observer_masks(n):
 
 class _RuleProbe(_Engine):
     """`_Engine` that records the rows each forward node has sent with K or
-    more origin bits and checks that the node never names them again."""
+    more origin bits and checks that the node never names them again, nor
+    sends any row with the mask it last sent for that row."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.done = [set() for _ in range(self.n)]
+        self.last = [dict() for _ in range(self.n)]
 
     def _propagate_net(self, i, rows):
         known_i = self.known[i]
@@ -745,6 +778,10 @@ class _RuleProbe(_Engine):
             self.done[i].update(
                 row for row in named if masks[row].bit_count() >= self.k
             )
+            last = self.last[i]
+            for row in named:
+                assert last.get(row) != masks[row], (i, row)
+                last[row] = masks[row]
         return fwd
 
 
