@@ -186,11 +186,10 @@ class _Engine:
     their origin sets: the systems known to have reported them, as an int
     mask whose bit s stands for system s (40 B at N=100 and 160 B at
     N=1000, where even an empty set takes 216 B). A forward node keeps a
-    mask for each live row it has heard of, the first-seen rank of each
-    (`seen`, drawn from the counter `rank`), its `dirty` rows: those whose
-    mask grew by a reception since the node last sent them, and the rows
-    it has `sent` with K or more origin bits, which never turn dirty
-    again. A withhold node keeps masks only for the rows it has pending.
+    mask for each live row it has heard of, in the order it first heard
+    of them, and its `dirty` rows: those whose mask grew by a reception
+    since the node last sent them. A withhold node keeps masks only for
+    the rows it has pending.
     Each node's neighbors are split once by role, into `fwd_nbrs` and
     `wh_nbrs` (each ascending), so no reception tests a role.
 
@@ -237,9 +236,7 @@ class _Engine:
             if graph.n != n:
                 raise ValidationError(f"graph has {graph.n} nodes for {n} systems")
             self.known: list[dict[int, int]] = [dict() for _ in range(n)]
-            self.seen: list[dict[int, int]] = [dict() for _ in range(n)]
             self.dirty: list[set[int]] = [set() for _ in range(n)]
-            self.sent: list[set[int]] = [set() for _ in range(n)]
             is_forward = [graph.roles[i] is Role.FORWARD for i in range(n)]
             self.is_forward = is_forward
             self.fwd_nbrs = [
@@ -249,7 +246,7 @@ class _Engine:
                 [r for r in graph.neighbors(i) if not is_forward[r]]
                 for i in range(n)
             ]
-            self.rank = 0
+            self.added = 0
             self.sweep_at = _SWEEP_MIN
         else:
             self.cnt = [0] * trace.n_events
@@ -328,21 +325,24 @@ class _Engine:
         whole mask of it, so a fire clears every dirty row and originating
         a row leaves it clean: a second send with the same mask would grow
         no receiver's mask and remove nothing. Each (event, mask) pair is
-        sent at most once per node and a fire scans only dirty rows. They
-        are visited in first-seen order because receivers remove rows in
-        payload order, which fixes the order of the float subtractions from
-        the running sums. A node's first-seen ranks come from `rank`, one
-        counter over all nodes, so they rise in first-seen order at every
-        node and stay valid when `_evict` drops rows.
+        sent at most once per node. Dirty rows go out in the order the node
+        first heard of them, which fixes the order of the receivers' float
+        subtractions from their running sums. That is the key order of
+        `known`, which only `_evict` rebuilds, in order; it is not the
+        order in which rows turn dirty, where a row sent, then grown, would
+        come after rows first heard later.
 
-        A forward node that has sent a row with K or more origin bits
-        records it in `sent` and never marks it dirty again. On a static
-        graph every neighbor then holds K origins of the row, so the row
-        has left their pending sets and a later forward of it would remove
-        nothing. By induction over fires, a node's first K-bit send of a
-        row falls at the same fire as when such rows were re-forwarded: the
-        dropped forwards reach only neighbors already at K origins, and no
-        node first hears a row from one. The rows left in each payload keep
+        A reception marks a row dirty only while it has fewer than K origin
+        bits, that is, unless the node has sent it with K or more: masks
+        only grow, and a row past K bits that was never so sent got there
+        by a reception (originating sends the row), so it is still dirty.
+        Once a node has sent a row with K or more origin bits, every
+        neighbor on the static graph holds K origins of it, so the row has
+        left their pending sets and a later forward would remove nothing. By
+        induction over fires, a node's first K-bit send of a row falls at
+        the same fire as when such rows were re-forwarded: the dropped
+        forwards reach only neighbors already at K origins, and no node
+        first hears a row from one. The rows left in each payload keep
         their order, so removals, their float order, fire times and
         originated rows are unchanged; only the forwarded rows shrink.
 
@@ -351,10 +351,7 @@ class _Engine:
         receivers, ascending, which suits the short payloads of frequent
         fires. The order across receivers is free: a receiver's removals
         touch only its own pending set, sums and masks, and still run in
-        payload order; `seen` ranks are compared only within one node; and
-        only forward receivers draw ranks, in the ascending order one pass
-        over all neighbors would take, so every rank, and with `rank` every
-        `_evict`, is as in that pass.
+        payload order.
 
         A withhold node reads its table only to test the origin count of a
         pending row, and every observer of an event receives it before any
@@ -364,43 +361,38 @@ class _Engine:
         a mask and its receiver loop skips the merge.
         """
         known, pend, acc_w, acc_wt = self.known, self.pend, self.acc_w, self.acc_wt
-        times, touched = self.times, self.touched
+        dirty, times, touched = self.dirty, self.times, self.touched
         known_i = known[i]
         fwd_rows: list[int] = []
         k = self.k
-        rank = self.rank
+        added = self.added
         if self.is_forward[i]:
-            seen_i, dirty_i, sent_i = self.seen[i], self.dirty[i], self.sent[i]
+            dirty_i = dirty[i]
             payload = {row: 1 << i | known_i.get(row, 0) for row in rows}
-            for row in sorted(dirty_i, key=seen_i.__getitem__):
-                if row not in payload:
-                    payload[row] = known_i[row]
-                    fwd_rows.append(row)
-            dirty_i.clear()
+            if dirty_i:
+                for row, mask in known_i.items():
+                    if row in dirty_i and row not in payload:
+                        payload[row] = mask
+                        fwd_rows.append(row)
+                dirty_i.clear()
+            size = len(known_i)
             for row in rows:
-                if row not in seen_i:
-                    seen_i[row] = rank
-                    rank += 1
                 known_i[row] = payload[row]
-            sent_i.update(
-                row for row, mask in payload.items() if mask.bit_count() >= k
-            )
+            added += len(known_i) - size
         else:
             payload = dict.fromkeys(rows, 1 << i)
             for row in rows:
                 known_i.pop(row, None)
         for r in self.fwd_nbrs[i]:
-            known_r, pend_r = known[r], pend[r]
-            seen_r, dirty_r, sent_r = self.seen[r], self.dirty[r], self.sent[r]
+            known_r, pend_r, dirty_r = known[r], pend[r], dirty[r]
             for row, origins in payload.items():
                 old = known_r.get(row, 0)
                 if not old:
-                    seen_r[row] = rank
-                    rank += 1
+                    added += 1
                 merged = old | origins
                 if merged != old:
                     known_r[row] = merged
-                    if row not in sent_r:
+                    if old.bit_count() < k:
                         dirty_r.add(row)
                 if row in pend_r and merged.bit_count() >= k:
                     w = pend_r.pop(row)
@@ -431,8 +423,8 @@ class _Engine:
                     acc_w[r] = 0.0
                     acc_wt[r] = 0.0
                 touched.add(r)
-        self.rank = rank
-        if rank >= self.sweep_at:
+        self.added = added
+        if added >= self.sweep_at:
             self._evict()
         fwd_rows.sort()
         return fwd_rows
@@ -440,11 +432,13 @@ class _Engine:
     def _evict(self) -> None:
         """Drop dead rows from the forward tables and set the next sweep.
 
-        Every forward-table entry took a rank, so `rank` counts the entries
-        ever added. The next sweep comes once as many entries have been
-        added as this one kept, and at least `_SWEEP_MIN`. So after every
-        payload the tables hold fewer than max(2 * kept, kept + _SWEEP_MIN)
-        entries, and sweeps cost O(1) per entry added.
+        `added` counts the forward-table entries ever added: one for each
+        row a forward node first hears of, by a payload or by originating
+        it. The next sweep comes once as many entries have been added as
+        this one kept, and at least `_SWEEP_MIN`. So after every payload
+        the tables hold fewer than max(2 * kept, kept + _SWEEP_MIN)
+        entries, and sweeps cost O(1) per entry added. Each table keeps
+        its order.
         """
         live = set().union(*self.pend, *self.dirty)
         kept = 0
@@ -453,12 +447,8 @@ class _Engine:
                 self.known[f] = {
                     row: mask for row, mask in self.known[f].items() if row in live
                 }
-                self.seen[f] = {
-                    row: rank for row, rank in self.seen[f].items() if row in live
-                }
-                self.sent[f] &= live
                 kept += len(self.known[f])
-        self.sweep_at = self.rank + max(kept, _SWEEP_MIN)
+        self.sweep_at = self.added + max(kept, _SWEEP_MIN)
 
     # -- main loop
 

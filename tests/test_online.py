@@ -720,15 +720,108 @@ def test_engine_matches_reference_on_dense_rows():
                 assert run_net(tr, pol, k, cost, graph) == (
                     oracles.reference_net(tr, pol, k, cost, graph)
                 )
+    # forward nodes send dirty rows in first-seen order, not in the order
+    # they turned dirty: a row sent, then grown, turns dirty after rows
+    # first heard later. Sending in that order changes fire times here.
+    g = gen_udg(n, 6, seed=2)
+    cds = greedy_cds(g)
+    graph = g.with_roles(
+        [Role.FORWARD if v in cds else Role.WITHHOLD for v in range(n)]
+    )
+    spec = WorkloadSpec(PoissonArrivals(), SmallEvents(), 1000, n, 1)
+    tr = gen_trace(spec, ensure_k=2)
+    assert run_net(tr, pol, 2, UnityCost(), graph) == (
+        oracles.reference_net(tr, pol, 2, UnityCost(), graph)
+    )
+
+
+class _TableProbe(_Engine):
+    """`_Engine` that checks the forward tables against its own record.
+
+    It records the order in which each forward node first heard of its
+    rows, from its originations and the payloads it receives, taking a
+    forward node's payload as its originated rows followed by its
+    forwarded rows in its first-heard order, and the mask each forward
+    node last sent for each row. After every payload it checks, at the
+    sender and at the forward receivers:
+      * each table lists its rows in first-heard order;
+      * every payload row it keeps with K or more origin bits is dirty
+        there, or the node last sent it with K or more origin bits;
+      * `added` counts the entries added, and the tables hold fewer than
+        max(2 * kept, kept + _SWEEP_MIN) entries, kept at the last sweep.
+    After every sweep, every table keeps exactly its live rows, in order.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.forward = [v for v in range(self.n) if self.is_forward[v]]
+        self.heard = [dict() for _ in range(self.n)]
+        self.last = [dict() for _ in range(self.n)]
+        self.heard_total = self.sweeps = self.kept = self.peak = 0
+        self.live = None
+
+    def entries(self):
+        return sum(len(self.known[v]) for v in self.forward)
+
+    def hear(self, v, rows):
+        heard = self.heard[v]
+        for row in rows:
+            if row not in heard:
+                heard[row] = None
+                self.heard_total += 1
+
+    def check(self, v, rows):
+        known, dirty, last, k = self.known[v], self.dirty[v], self.last[v], self.k
+        assert list(known) == list(self.heard[v]), v
+        for row in rows:
+            if known.get(row, 0).bit_count() >= k:
+                assert row in dirty or last.get(row, 0).bit_count() >= k, (v, row)
+
+    def _evict(self):
+        super()._evict()
+        # the payload being sent is recorded after the sweep, so the
+        # record is cut to the live rows only then
+        self.live = set().union(*self.pend, *self.dirty)
+        self.sweeps += 1
+
+    def _propagate_net(self, i, rows):
+        known_i = self.known[i]
+        masks = {row: known_i[row] for row in self.dirty[i]}
+        masks.update((row, 1 << i | known_i.get(row, 0)) for row in rows)
+        fwd = super()._propagate_net(i, rows)
+        forwarded = set(fwd)
+        payload = rows + [row for row in self.heard[i] if row in forwarded]
+        assert len(payload) == len(rows) + len(fwd), i
+        for r in self.fwd_nbrs[i]:
+            self.hear(r, payload)
+        if self.is_forward[i]:
+            self.hear(i, rows)
+            self.last[i].update((row, masks[row]) for row in payload)
+        if self.live is not None:
+            for v in self.forward:
+                self.heard[v] = {
+                    row: None for row in self.heard[v] if row in self.live
+                }
+                assert list(self.known[v]) == list(self.heard[v]), v
+            self.live = None
+            self.kept = self.entries()
+        senders = [i] if self.is_forward[i] else []
+        for v in self.fwd_nbrs[i] + senders:
+            self.check(v, payload)
+        assert self.added == self.heard_total
+        entries = self.entries()
+        assert entries < max(2 * self.kept, self.kept + _SWEEP_MIN)
+        self.peak = max(self.peak, entries)
+        return fwd
 
 
 @pytest.mark.parametrize("n", [30, 100])
 def test_net_tables_keep_observer_masks(n):
     # after a run, withhold nodes hold no mask (they keep masks only for
     # pending rows) and forward nodes hold one nonzero int mask per row,
-    # naming only observers of the row, in the first-seen order of `seen`,
-    # whose counter ranks rise in table order; rows sent with K origins
-    # are among them
+    # naming only observers of the row; throughout, the probe checks that
+    # each forward table is in first-heard order and that its rows with K
+    # or more origin bits are dirty or were last sent with K or more
     g = gen_udg(n, 8, seed=n)
     rng = np.random.default_rng(223 + n)
     traces = {k: sparse_trace(rng, n, 300, k) for k in (1, 3)}
@@ -741,20 +834,22 @@ def test_net_tables_keep_observer_masks(n):
                 sum(1 << s for s in np.flatnonzero(w > 0).tolist())
                 for w in tr.weights
             ]
-            engine = _Engine(tr, ThresholdPolicy(0.5), k, UnityCost(), roled)
+            engine = _TableProbe(tr, ThresholdPolicy(0.5), k, UnityCost(), roled)
             engine.run()
             assert any(engine.known[v] for v in forward)
+            sent_clean = 0
             for v, known in enumerate(engine.known):
                 if v not in forward:
                     assert known == {}, (k, v)
                     continue
-                assert list(engine.seen[v]) == list(known)
-                ranks = list(engine.seen[v].values())
-                assert ranks == sorted(set(ranks)), (k, v)
-                assert engine.sent[v] <= known.keys(), (k, v)
+                engine.check(v, list(known))
                 for row, mask in known.items():
                     assert type(mask) is int and mask, (k, v, row)
                     assert mask & ~observers[row] == 0, (k, v, row)
+                    sent_clean += (
+                        mask.bit_count() >= k and row not in engine.dirty[v]
+                    )
+            assert sent_clean, k
 
 
 class _RuleProbe(_Engine):
@@ -806,36 +901,6 @@ def test_forward_nodes_never_resend_rows_sent_with_k_origins():
                 assert any(engine.done), (k, g.n)
 
 
-class _TableProbe(_Engine):
-    """`_Engine` that checks after every sweep that the forward tables keep
-    only live rows, and after every payload the bound between sweeps."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.forward = [v for v in range(self.n) if self.is_forward[v]]
-        self.sweeps = self.kept = self.peak = 0
-
-    def entries(self):
-        return sum(len(self.known[v]) for v in self.forward)
-
-    def _evict(self):
-        super()._evict()
-        live = set().union(*self.pend, *self.dirty)
-        for v in self.forward:
-            assert self.known[v].keys() <= live
-            assert list(self.seen[v]) == list(self.known[v])
-            assert self.sent[v] <= live
-        self.kept = self.entries()
-        self.sweeps += 1
-
-    def _propagate_net(self, i, rows):
-        fwd = super()._propagate_net(i, rows)
-        entries = self.entries()
-        assert entries < max(2 * self.kept, self.kept + _SWEEP_MIN)
-        self.peak = max(self.peak, entries)
-        return fwd
-
-
 def test_net_forward_tables_stay_bounded_by_live_rows():
     # a sweep keeps only live rows and the tables at most double between
     # sweeps, so their peak follows the live rows, not the trace length:
@@ -853,7 +918,7 @@ def test_net_forward_tables_stay_bounded_by_live_rows():
             engine = _TableProbe(tr, ThresholdPolicy(0.5), 1, UnityCost(), roled)
             engine.run()
             assert engine.sweeps > 0, m
-            added.append(engine.rank)
+            added.append(engine.added)
             peaks.append(engine.peak)
         assert added[1] > 3 * added[0], added
         assert peaks[1] < 1.5 * peaks[0], peaks
