@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
@@ -127,20 +128,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_CSV_CHUNK = 4096  # reports formatted per write
+
+
+def _write_schedule_csv(schedule: ReportSchedule, fh) -> None:
+    """Write one line per report in (system, time) order, with its index
+    among the system's reports and the ids it originates, `_CSV_CHUNK`
+    reports at a time."""
+    system, time = schedule.system, schedule.time
+    fh.write("system,report_index,time,event_ids\n")
+    for a in range(0, system.size, _CSV_CHUNK):
+        b = min(a + _CSV_CHUNK, system.size)
+        index = np.arange(a, b) - np.searchsorted(system, system[a:b])
+        cuts = np.searchsorted(schedule.orig_report, np.arange(a, b + 1))
+        ids = [str(j) for j in schedule.orig_id[cuts[0] : cuts[-1]].tolist()]
+        cuts = (cuts - cuts[0]).tolist()
+        fh.write("".join(
+            f"{i},{k},{t!r},{';'.join(ids[c:d])}\n"
+            for i, k, t, c, d in zip(
+                system[a:b].tolist(), index.tolist(), time[a:b].tolist(),
+                cuts, cuts[1:],
+            )
+        ))
+
+
 def _schedule_csv(schedule: ReportSchedule) -> str:
-    """One line per report in (system, time) order, with its index among
-    the system's reports and the ids it originates."""
-    system = schedule.system
-    first = np.searchsorted(system, system).tolist()
-    cuts = np.searchsorted(
-        schedule.orig_report, np.arange(system.size + 1)
-    ).tolist()
-    ids = [str(j) for j in schedule.orig_id.tolist()]
-    lines = ["system,report_index,time,event_ids"]
-    for r, (i, t) in enumerate(zip(system.tolist(), schedule.time.tolist())):
-        ids_r = ";".join(ids[cuts[r] : cuts[r + 1]])
-        lines.append(f"{i},{r - first[r]},{t!r},{ids_r}")
-    return "\n".join(lines) + "\n"
+    """The schedule CSV as one string."""
+    buf = io.StringIO()
+    _write_schedule_csv(schedule, buf)
+    return buf.getvalue()
 
 
 # each arrival model with the gen-trace options it takes
@@ -231,7 +247,7 @@ def _cmd_run(args) -> int:
     print(f"total={repr(out.total)}")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(_schedule_csv(sched))
+            _write_schedule_csv(sched, fh)
     return 0
 
 

@@ -165,13 +165,18 @@ class EventTrace:
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Rows of an int64 array of event ids; `index_of` over an array."""
+        m = self.n_events
         pos = np.searchsorted(self._ids, ids, sorter=self._by_id)
-        found = pos < self.n_events
-        rows = np.zeros_like(pos)
-        rows[found] = self._by_id[pos[found]]
-        found[found] = self._ids[rows[found]] == ids[found]
-        if not found.all():
-            bad_id = int(ids[np.argmin(found)])
+        if m:
+            # an id above every known one lands past the end: clip it to the
+            # last position, whose id then differs from it
+            rows = self._by_id[np.minimum(pos, m - 1, out=pos)]
+            # the ids at those rows, written over pos
+            bad = np.take(self._ids, rows, out=pos, mode="clip") != ids
+        else:
+            rows, bad = pos, np.ones(pos.shape, dtype=bool)
+        if bad.any():
+            bad_id = int(ids[np.argmax(bad)])
             raise ValidationError(f"unknown event id {bad_id!r}")
         return rows
 
@@ -362,25 +367,37 @@ class ReportSchedule:
 
     def __init__(self, n_systems: int, system, time, orig, fwd=((), ())):
         """Build from reports listed with the systems interleaved, such as
-        in firing order.
+        in firing order, or already in system order.
 
         `system` and `time` give each report, and `orig` and `fwd` are
         (report, event id) column pairs numbering reports in that order,
         with each report's ids in position order. Reports are stable-sorted
         by system and pairs by their renumbered report: the order every
-        reader relies on.
+        reader relies on. Columns already in that order (non-decreasing
+        `system` and report numbers) are kept as given, as read-only views
+        without a copy, so the caller must not write to them afterwards.
         """
         system = np.asarray(system, dtype=np.int64)
-        order = np.argsort(system, kind="stable")
-        new_index = np.empty_like(order)
-        new_index[order] = np.arange(order.size)
-        columns = [system[order], np.asarray(time, dtype=np.float64)[order]]
-        for report, ids in (orig, fwd):
-            report = new_index[np.asarray(report, dtype=np.int64)]
-            by_report = np.argsort(report, kind="stable")
-            columns += [report[by_report], np.asarray(ids, np.int64)[by_report]]
+        time = np.asarray(time, dtype=np.float64)
+        pairs = [
+            (np.asarray(report, dtype=np.int64), np.asarray(ids, np.int64))
+            for report, ids in (orig, fwd)
+        ]
+        if (system[1:] < system[:-1]).any():
+            order = np.argsort(system, kind="stable")
+            new_index = np.empty_like(order)
+            new_index[order] = np.arange(order.size)
+            system, time = system[order], time[order]
+            pairs = [(new_index[report], ids) for report, ids in pairs]
+        columns = [system, time]
+        for report, ids in pairs:
+            if (report[1:] < report[:-1]).any():
+                by_report = np.argsort(report, kind="stable")
+                report, ids = report[by_report], ids[by_report]
+            columns += [report, ids]
         self.n_systems = n_systems
         for name, col in zip(self.__slots__[1:], columns):
+            col = col.view()
             col.setflags(write=False)
             setattr(self, name, col)
 
@@ -423,9 +440,10 @@ class ReportSchedule:
         row, system and weight of every originated pair.
 
         Raises ValidationError naming the first offending (system, report,
-        event) triple when report times fail to increase, when a report
-        precedes an event it carries or carries one event twice, or when a
-        system originates an event it did not observe.
+        event) triple when a report time is not finite or not after the
+        system's previous one, when a report precedes an event it carries or
+        carries one event twice, or when a system originates an event it did
+        not observe.
         """
         if self.n_systems != trace.n_systems:
             raise ValidationError(
@@ -433,10 +451,8 @@ class ReportSchedule:
                 f"{trace.n_systems}"
             )
         system, time = self.system, self.time
-        prev = np.full(time.size, -math.inf)
-        same = system[1:] == system[:-1]
-        prev[1:][same] = time[:-1][same]
-        bad = ~(time > prev)
+        bad = ~np.isfinite(time)
+        bad[1:] |= (system[1:] == system[:-1]) & ~(time[1:] > time[:-1])
         if bad.any():
             r = int(np.argmax(bad))
             i, k = self._locate(r)
@@ -445,22 +461,26 @@ class ReportSchedule:
                 f"(report {k} at {time[r]})"
             )
         orig_rows = trace.rows_of(self.orig_id)
-        report = np.concatenate((self.orig_report, self.fwd_report))
-        rows = np.concatenate((orig_rows, trace.rows_of(self.fwd_id)))
-        early = trace.times[rows] > time[report]
-        if early.any():
-            p = int(np.argmax(early))
-            i, k = self._locate(int(report[p]))
-            raise ValidationError(
-                f"report precedes event: system {i}, report {k}, "
-                f"event {trace.event_ids[rows[p]]}"
-            )
-        # (report, row) keys rise strictly over the originated pairs unless
-        # some report repeats a row there
+        pairs = [(self.orig_report, orig_rows)]
+        if self.fwd_id.size:
+            pairs.append((self.fwd_report, trace.rows_of(self.fwd_id)))
+        for report, rows in pairs:
+            early = trace.times[rows] > time[report]
+            if early.any():
+                p = int(np.argmax(early))
+                i, k = self._locate(int(report[p]))
+                raise ValidationError(
+                    f"report precedes event: system {i}, report {k}, "
+                    f"event {trace.event_ids[rows[p]]}"
+                )
+        # (report, row) keys that rise strictly repeat no row in a report;
+        # they do over the originated pairs unless some report repeats one
         m = trace.n_events
-        key = report * m + rows
-        n_orig = orig_rows.size
-        if rows.size > n_orig or (np.diff(key[:n_orig]) <= 0).any():
+        key = self.orig_report * m
+        key += orig_rows
+        if len(pairs) > 1:  # a forwarded id may repeat an originated one
+            key = np.concatenate((key, self.fwd_report * m + pairs[1][1]))
+        if (key[1:] <= key[:-1]).any():
             uniq, count = np.unique(key, return_counts=True)
             if (count > 1).any():
                 r, row = divmod(int(uniq[np.argmax(count > 1)]), m)
@@ -469,6 +489,7 @@ class ReportSchedule:
                     f"system {i}, report {k} carries event "
                     f"{trace.event_ids[row]} twice"
                 )
+        del key  # spent; free it before the returned columns are built
         orig_sys = system[self.orig_report]
         w = trace.weights[orig_rows, orig_sys]
         unobserved = w <= 0.0
@@ -533,29 +554,34 @@ def evaluate(
     """
     check_rho(rho)
     check_k(k, trace.n_systems)
-    rows, systems, w = schedule.validate(trace)
+    rows, key, w = schedule.validate(trace)
     m = trace.n_events
 
     # Report costs are summed left to right in (system, report) order.
     n_reports = schedule.total_reports()
     costs = cost_fn.of_reports(schedule.orig_report, w, n_reports)
-    comm = float(np.cumsum(costs)[-1]) if n_reports else 0.0
+    comm = float(np.cumsum(costs, out=costs)[-1]) if n_reports else 0.0
+    del costs, w  # spent: free them before the pair times are gathered
 
     # Delivery: one hit per (row, system), at the system's earliest report
     # of the row. Pairs are in (system, time) order, so (system, row) keys
     # rise strictly unless a system reports a row twice, and then the
-    # first pair of a key is that system's earliest.
+    # first pair of a key is that system's earliest. The keys are written
+    # over the pairs' systems and freed before the sort.
     times = schedule.time[schedule.orig_report]
-    key = systems * m + rows
-    if (np.diff(key) <= 0).any():
+    key *= m
+    key += rows
+    if (key[1:] <= key[:-1]).any():
         first = np.zeros(key.size, dtype=bool)
         first[np.unique(key, return_index=True)[1]] = True
         rows, times = rows[first], times[first]
+    del key
     hits = np.bincount(rows, minlength=m)
-    by_row = times[np.lexsort((times, rows))]
+    by_row = np.lexsort((times, rows))
     delivered = hits >= k
     gammas = np.full(m, math.inf)
-    gammas[delivered] = by_row[(np.cumsum(hits) - hits + (k - 1))[delivered]]
+    kth = by_row[(np.cumsum(hits) - hits + (k - 1))[delivered]]
+    gammas[delivered] = times[kth]
 
     if not delivered.all():
         return CostBreakdown(

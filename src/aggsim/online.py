@@ -513,30 +513,34 @@ def run_thb(
     crossing (theta * c(W) + sum w * t_e) / W for pending weight W with
     the engine's float steps, floored at t as there; the floor binds only
     when rounding would put a report before the event it carries. A report
-    carries the observed rows since the previous one, so only its length is
-    kept. A trailing pending set whose crossing overflows to inf (a tiny
-    pending weight) is never reported, as in the engine.
+    carries the observed rows since the previous one, so only where it ends
+    is kept. A trailing pending set whose crossing overflows to inf (a tiny
+    pending weight) is never reported, as in the engine. The schedule's
+    columns are built in system order, so the constructor keeps them
+    without a sort.
     """
     n = trace.n_systems
     check_k(k, n)
     theta = policy.theta
     of_total = cost_fn.of_total
     count = [0] * n
-    fired_time: list[float] = []
-    lens: list[int] = []
+    # each system's fire times, the report number of each row it carries,
+    # and the ids of those rows, as arrays made one system at a time
+    times: list[np.ndarray] = []
+    reports: list[np.ndarray] = []
     carried: list[np.ndarray] = []
+    n_reports = 0
     for i in range(n):
         rows = np.flatnonzero(trace.weights[:, i] > 0)
         ts, ws = trace.times[rows].tolist(), trace.weights[rows, i].tolist()
         acc_w = acc_wt = 0.0
         cross = math.inf
-        start = len(fired_time)
-        last = 0  # the observed rows before `last` are reported
+        fired: list[float] = []
+        cuts = [0]  # the observed rows before cuts[-1] are reported
         for j, (t, w) in enumerate(zip(ts, ws)):
             if cross < t:
-                fired_time.append(cross)
-                lens.append(j - last)
-                last = j
+                fired.append(cross)
+                cuts.append(j)
                 acc_w = acc_wt = 0.0
             acc_w += w
             acc_wt += w * t
@@ -544,20 +548,22 @@ def run_thb(
             if cross < t:
                 cross = t
         if cross < math.inf:
-            fired_time.append(cross)
-            lens.append(rows.size - last)
-            last = rows.size
-        count[i] = len(fired_time) - start
-        carried.append(rows[:last])
-    return ReportSchedule(
-        n,
-        np.repeat(np.arange(n), count),
-        fired_time,
-        (
-            np.repeat(np.arange(len(lens)), lens),
-            trace.ids_of(np.concatenate(carried)),
-        ),
-    )
+            fired.append(cross)
+            cuts.append(rows.size)
+        count[i] = len(fired)
+        times.append(np.array(fired))
+        reports.append(
+            np.repeat(np.arange(n_reports, n_reports + len(fired)), np.diff(cuts))
+        )
+        carried.append(trace.ids_of(rows[: cuts[-1]]))
+        n_reports += len(fired)
+    # join one column at a time, dropping its pieces before the next
+    columns = []
+    for pieces in (times, reports, carried):
+        columns.append(np.concatenate(pieces))
+        pieces.clear()
+    time, report, ids = columns
+    return ReportSchedule(n, np.repeat(np.arange(n), count), time, (report, ids))
 
 
 def run_itc(

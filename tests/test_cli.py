@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from aggsim import cli
 from aggsim.cli import _schedule_csv, main
 from aggsim.graph import CommGraph, Role, compute_x, gen_udg, greedy_mis
 from aggsim.model import (
@@ -247,6 +248,20 @@ def test_schedule_csv_matches_report_writer(capsys, tmp_path):
         [Report(0.25, (7,)), Report(0.75, (), (6,)), Report(2.0, (8, 9))],
     ])
     assert _schedule_csv(hand) == oracles.report_schedule_csv(hand)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_schedule_csv_is_the_same_in_every_chunk_size(monkeypatch, chunk):
+    hand = oracles.schedule_of([
+        [Report(0.5, (3, 1), (4,)), Report(1.5, (2, 0, 5)), Report(1.75, ())],
+        [],
+        [Report(0.25, (7,)), Report(0.75, (), (6,)), Report(2.0, (8, 9))],
+        [Report(0.125, (10,))],
+    ])
+    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    assert _schedule_csv(hand) == oracles.report_schedule_csv(hand)
+    empty = oracles.schedule_of([[], []])
+    assert _schedule_csv(empty) == oracles.report_schedule_csv(empty)
 
 
 def test_run_net_requires_matching_graph(capsys, tmp_path, two_event_csv):

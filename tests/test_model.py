@@ -43,6 +43,22 @@ def test_trace_basic_accessors():
         make_trace([], np.zeros((0, 2))).index_of(0)
 
 
+def test_rows_of_on_an_empty_trace():
+    empty = make_trace([], np.zeros((0, 2)))
+    rows = empty.rows_of(np.array([], dtype=np.int64))
+    assert rows.size == 0 and rows.dtype == np.intp
+    with pytest.raises(ValidationError, match="unknown event id 3"):
+        empty.rows_of(np.array([3, 4], dtype=np.int64))
+
+
+def test_rows_of_names_the_first_unknown_id():
+    tr = make_trace([1.0, 2.5, 4.0], [[1.0], [1.0], [1.0]], ids=[7, 9, 5])
+    assert tr.rows_of(np.array([5, 9, 7, 5])).tolist() == [2, 1, 0, 2]
+    for ids, bad in (([9, 10, 4], 10), ([4, 10], 4), ([7, 8], 8)):
+        with pytest.raises(ValidationError, match=f"unknown event id {bad}$"):
+            tr.rows_of(np.array(ids, dtype=np.int64))
+
+
 def test_trace_validation():
     with pytest.raises(ValidationError):
         make_trace([1.0, 1.0], [[1.0], [1.0]])  # non-increasing
@@ -315,6 +331,104 @@ def test_from_fired_puts_reports_in_system_order():
     assert sched.per_system == per
 
 
+@st.composite
+def per_system_reports(draw):
+    """Per-system `Report` tuples with strictly increasing times, each with
+    zero or more originated and forwarded ids; some systems send nothing."""
+    n = draw(st.integers(1, 4))
+    ids = st.lists(st.integers(0, 30), max_size=3).map(tuple)
+    per = []
+    for _ in range(n):
+        gaps = draw(st.lists(st.floats(0.125, 4.0), max_size=4))
+        times = np.cumsum(gaps).tolist()
+        per.append(tuple(Report(t, draw(ids), draw(ids)) for t in times))
+    return tuple(per)
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_system_reports(), st.data())
+def test_ordered_and_interleaved_input_give_one_schedule(per, data):
+    n = len(per)
+    sent = [(i, rep) for i, reports in enumerate(per) for rep in reports]
+    # a firing order: the systems' reports merged, each system's in order
+    queues = [list(reports) for reports in per]
+    senders = data.draw(st.permutations([i for i, _ in sent]))
+    fired = [(i, queues[i].pop(0)) for i in senders]
+
+    def columns(listed, shuffle):
+        """Columns of reports listed in this order; pairs of different
+        reports interleaved when `shuffle`, each report's in position
+        order."""
+        pairs = []
+        for kind in ("event_ids", "forwarded_ids"):
+            carried = [(r, j) for r, (_, rep) in enumerate(listed)
+                       for j in getattr(rep, kind)]
+            if shuffle:
+                owners = data.draw(st.permutations([r for r, _ in carried]))
+                held = {}
+                for r, j in carried:
+                    held.setdefault(r, []).append(j)
+                carried = [(r, held[r].pop(0)) for r in owners]
+            pairs.append((
+                np.array([r for r, _ in carried], dtype=np.int64),
+                np.array([j for _, j in carried], dtype=np.int64),
+            ))
+        system = np.array([i for i, _ in listed], dtype=np.int64)
+        time = np.array([rep.time for _, rep in listed], dtype=np.float64)
+        return system, time, pairs
+
+    system, time, (orig, fwd) = columns(sent, shuffle=False)
+    ordered = ReportSchedule(n, system, time, orig, fwd)
+    i_system, i_time, (i_orig, i_fwd) = columns(fired, shuffle=True)
+    interleaved = ReportSchedule(n, i_system, i_time, i_orig, i_fwd)
+    by_hand = oracles.schedule_of(per)
+    for name in ReportSchedule.__slots__[1:]:
+        col = getattr(ordered, name)
+        assert col.dtype == np.int64 or name == "time"
+        assert not col.flags.writeable
+        for other in (interleaved, by_hand):
+            assert np.array_equal(col, getattr(other, name)), name
+            assert col.dtype == getattr(other, name).dtype
+    assert ordered == interleaved == by_hand
+    assert ordered.per_system == per
+    # ordered columns are kept without a copy, and the caller's arrays
+    # stay writable
+    for given_col, name in ((system, "system"), (time, "time"),
+                            (orig[0], "orig_report"), (orig[1], "orig_id"),
+                            (fwd[0], "fwd_report"), (fwd[1], "fwd_id")):
+        assert given_col.size == 0 or np.shares_memory(
+            given_col, getattr(ordered, name)
+        )
+        assert given_col.flags.writeable
+
+
+def test_ordered_and_sorted_input_agree_on_edge_cases():
+    # no reports at all, reports with no ids, and forwarded pairs only;
+    # each schedule is also listed with the systems in reverse, which the
+    # constructor must sort
+    for per in (
+        ((), ()),
+        ((Report(1.0, ()),), (Report(0.5, ()), Report(2.0, ()))),
+        ((Report(1.0, (), (4, 2)),), (Report(0.5, (3,), (3,)),)),
+    ):
+        listed = [(i, rep) for i in reversed(range(len(per))) for rep in per[i]]
+        reversed_systems = ReportSchedule(
+            len(per),
+            [i for i, _ in listed],
+            [rep.time for _, rep in listed],
+            *(
+                (
+                    [r for r, (_, rep) in enumerate(listed)
+                     for _ in getattr(rep, kind)],
+                    [j for _, rep in listed for j in getattr(rep, kind)],
+                )
+                for kind in ("event_ids", "forwarded_ids")
+            ),
+        )
+        assert reversed_systems == oracles.schedule_of(per)
+        assert reversed_systems.per_system == per
+
+
 def seeded_instance(rng, n_events=None, n_systems=None):
     m = n_events or int(rng.integers(1, 6))
     n = n_systems or int(rng.integers(1, 4))
@@ -416,6 +530,36 @@ def test_evaluate_rejects_bad_schedules():
         evaluate(ok, tr, 1, 1.5, UnityCost())
     with pytest.raises(ValidationError):
         evaluate(ok, tr, 3, 0.5, UnityCost())
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_validate_rejects_non_finite_report_times(bad, at):
+    # system 1's first, middle or last report is sent at a non-finite time
+    tr = make_trace([0.0, 1.0, 2.0], [[1.0, 1.0]] * 3)
+    times = [0.5, 1.5, 2.5]
+    times[at] = bad
+    sched = oracles.schedule_of((
+        (Report(3.0, (0, 1, 2)),),
+        tuple(Report(t, (j,)) for j, t in enumerate(times)),
+    ))
+    with pytest.raises(
+        ValidationError,
+        match=rf"^system 1: report times must strictly increase "
+        rf"\(report {at} at {bad}\)$",
+    ):
+        evaluate(sched, tr, 2, 0.5, UnityCost())
+
+
+def test_a_report_at_infinity_is_not_a_delivery():
+    # evaluate used to score this as feasible with total inf
+    tr = make_trace([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
+    sched = oracles.schedule_of((
+        (Report(1.0, (0, 1)),),
+        (Report(math.inf, (0, 1)),),
+    ))
+    with pytest.raises(ValidationError, match=r"\(report 0 at inf\)"):
+        evaluate(sched, tr, 2, 0.5, UnityCost())
 
 
 def test_validate_rejects_a_trace_with_another_system_count():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -412,6 +413,40 @@ def test_thb_system_equals_engine_on_its_column(inst):
     for i in range(tr.n_systems):
         column = EventTrace(tr.times, tr.weights[:, [i]], tr.event_ids)
         assert got[i] == run_itc(column, pol, 1, cost).per_system[0]
+
+
+# traced allocation peaks allowed on the report path, as multiples of the
+# schedule's column bytes (about 4.2 for run_thb and 2.3 for evaluate when
+# they built whole-schedule temporaries)
+THB_PEAK_PER_COLUMN_BYTE = 1.5
+EVALUATE_PEAK_PER_COLUMN_BYTE = 1.5
+
+
+def test_report_path_allocates_in_proportion_to_its_output():
+    # the shape of the indep sweep's largest point: about 140k reports
+    n, k = 100, 3
+    tr = gen_trace(
+        WorkloadSpec(PoissonArrivals(), SmallEvents(), 2000, n, 0), ensure_k=k
+    )
+    pol = ThresholdPolicy(threshold_none(n, k, 1.0, 0.5))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sched = run_thb(tr, pol, k, UnityCost())
+        thb_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = evaluate(sched, tr, k, 0.5, UnityCost())
+        evaluate_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.feasible and sched.total_reports() > 100_000
+    column_bytes = sum(
+        getattr(sched, name).nbytes for name in sched.__slots__[1:]
+    )
+    assert thb_peak <= THB_PEAK_PER_COLUMN_BYTE * column_bytes
+    assert evaluate_peak <= EVALUATE_PEAK_PER_COLUMN_BYTE * column_bytes
 
 
 def test_same_instant_cascade_after_removal():
