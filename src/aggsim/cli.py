@@ -9,21 +9,15 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 import numpy as np
 
-from .graph import (
-    CommGraph,
-    GenerationError,
-    Role,
-    compute_x,
-    gen_udg,
-    greedy_cds,
-    greedy_mis,
+from .graph import CommGraph, GenerationError, compute_x
+from .harness import (
+    aggregate, build_graph, load_config, run_scenario, write_results,
+    write_summary,
 )
-from .harness import aggregate, load_config, run_scenario, write_results, write_summary
 from .model import (
     EventTrace,
     ReportSchedule,
@@ -152,13 +146,6 @@ def _write_schedule_csv(schedule: ReportSchedule, fh) -> None:
         ))
 
 
-def _schedule_csv(schedule: ReportSchedule) -> str:
-    """The schedule CSV as one string."""
-    buf = io.StringIO()
-    _write_schedule_csv(schedule, buf)
-    return buf.getvalue()
-
-
 # each arrival model with the gen-trace options it takes
 _ARRIVALS = {
     "constant": (ConstantArrivals, ("interval",)),
@@ -191,18 +178,11 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    g = gen_udg(args.nodes, args.avg_degree, args.seed)
-    if args.roles != "none":
-        fwd = greedy_mis(g) if args.roles == "mis" else greedy_cds(g)
-        g = g.with_roles(
-            [Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(g.n)]
-        )
+    g = build_graph(args.nodes, args.avg_degree, args.seed, args.roles)
     g.save(args.out)
-    x = compute_x(g)
-    kind = "exact" if x.exact else "approx"
     print(
         f"wrote n={g.n} edges={len(g.edges)} "
-        f"avg_degree={g.avg_degree:.3f} x={x.value} ({kind}) to {args.out}"
+        f"avg_degree={g.avg_degree:.3f} x={compute_x(g)} to {args.out}"
     )
     return 0
 
@@ -220,7 +200,7 @@ def _cmd_run(args) -> int:
             raise ValidationError(
                 f"graph has {graph.n} nodes but the trace has {n} systems"
             )
-        x = compute_x(graph).value
+        x = compute_x(graph)
     elif args.graph is not None:
         raise ValidationError("--graph applies only to --alg net")
     elif args.alg == "itc":
@@ -239,7 +219,6 @@ def _cmd_run(args) -> int:
     else:
         sched = run_net(trace, policy, args.K, cost_fn, graph)
     out = evaluate(sched, trace, args.K, args.rho, cost_fn)
-    out.check_delivered()
     print(f"theta={repr(theta)}")
     print(f"reports={sched.total_reports()}")
     print(f"comm={repr(out.comm)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "greedy_mis",
     "greedy_cds",
     "compute_x",
-    "XResult",
 ]
 
 
@@ -328,57 +327,20 @@ def greedy_cds(g: CommGraph) -> frozenset[int]:
     return frozenset(cds)
 
 
-class XResult(NamedTuple):
-    value: int
-    exact: bool
+def compute_x(g: CommGraph) -> int:
+    """Network parameter x: forward nodes plus a greedy maximal independent
+    set of the withhold nodes outside every forward node's neighborhood.
 
-
-def _exact_mis_size(adj: dict[int, set[int]]) -> int:
-    """Maximum independent set size by branch and bound; fine for <= 20 nodes."""
-    if not adj:
-        return 0
-    # branch on a highest-degree vertex: either exclude it or take it
-    v = max(adj, key=lambda u: (len(adj[u]), -u))
-    if not adj[v]:
-        rest = {u: set(n for n in nb if n != v) for u, nb in adj.items() if u != v}
-        return 1 + _exact_mis_size(rest)
-    without = {u: nb - {v} for u, nb in adj.items() if u != v}
-    best = _exact_mis_size(without)
-    dropped = adj[v] | {v}
-    with_v = {
-        u: nb - dropped for u, nb in adj.items() if u not in dropped
-    }
-    return max(best, 1 + _exact_mis_size(with_v))
-
-
-def compute_x(g: CommGraph) -> XResult:
-    """Network parameter x: forward nodes plus the largest independent group
-    of withhold nodes outside every forward node's neighborhood.
-
-    Exact (by maximum-independent-set search) for n <= 20 or when a shortcut
-    applies; otherwise approximated with the greedy set and flagged.
+    With MIS or CDS roles no such node is left, so x is the forward count;
+    otherwise the greedy set may fall short of the largest one.
     """
-    fwd = set(g.forward_nodes())
+    fwd = g.forward_nodes()
     blocked = set(fwd)
     for v in fwd:
         blocked.update(g.neighbors(v))
-    free = [v for v in range(g.n) if v not in blocked]
-    free_set = set(free)
-    has_edge = any(
-        u in free_set for v in free for u in g.neighbors(v)
-    )
-    if not free:
-        return XResult(len(fwd), True)
-    if not has_edge:
-        return XResult(len(fwd) + len(free), True)
-    if g.n <= 20:
-        adj = {v: set(g.neighbors(v)) & free_set for v in free}
-        return XResult(len(fwd) + _exact_mis_size(adj), True)
+    free = set(range(g.n)) - blocked
     sub = CommGraph(
         g.n,
-        frozenset(
-            (a, b) for a, b in g.edges if a in free_set and b in free_set
-        ),
+        frozenset((a, b) for a, b in g.edges if a in free and b in free),
     )
-    greedy = {v for v in greedy_mis(sub) if v in free_set}
-    return XResult(len(fwd) + len(greedy), False)
+    return len(fwd) + len(greedy_mis(sub) & free)

@@ -223,15 +223,17 @@ def _seed_pair(cfg_seed: int, point_idx: int, rep: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _build_graph(
-    cfg: ScenarioConfig, n: int, mode: str, graph_seed: int
-) -> CommGraph:
-    g = gen_udg(n, cfg.avg_degree, graph_seed)
-    fwd = greedy_mis(g) if mode == "n1" else greedy_cds(g)
-    roles = [
-        Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(n)
-    ]
-    return g.with_roles(roles)
+def build_graph(n: int, avg_degree: float, seed: int, roles: str) -> CommGraph:
+    """Unit-disk graph from `gen_udg`; with `roles` "mis" or "cds" the
+    nodes of the greedy MIS or CDS forward and the rest withhold, with
+    "none" every node withholds."""
+    g = gen_udg(n, avg_degree, seed)
+    if roles == "none":
+        return g
+    fwd = greedy_mis(g) if roles == "mis" else greedy_cds(g)
+    return g.with_roles(
+        [Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(n)]
+    )
 
 
 def _run_rep(
@@ -265,8 +267,9 @@ def _run_rep(
         trace = gen_trace(spec, ensure_k=k)
         graph = x = None
         if cfg.mode in ("n1", "n2"):
-            graph = _build_graph(cfg, n, cfg.mode, graph_seed)
-            x = compute_x(graph).value
+            roles = "mis" if cfg.mode == "n1" else "cds"
+            graph = build_graph(n, cfg.avg_degree, graph_seed, roles)
+            x = compute_x(graph)
         elif cfg.mode != "none":
             x = n if cfg.mode == "nc" else 1  # full and fc: x = 1
         theta = (
@@ -287,9 +290,7 @@ def _run_rep(
         sched = run_net(trace, policy, k, cost_fn, graph)
     wall = time.perf_counter() - t0
 
-    cost = evaluate(sched, trace, k, rho, cost_fn)
-    cost.check_delivered()
-    alg_cost = cost.total
+    alg_cost = evaluate(sched, trace, k, rho, cost_fn).total
     oracle = offline_lb(trace, k, rho, cost_fn).value
     return ResultRow(
         scenario_code=code,

@@ -512,29 +512,11 @@ def _grouped(keys: np.ndarray, values: list, n_groups: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Evaluated objective: report cost, latency, and their rho-blend.
-
-    If some event was never reported K times by observers, `latency` and
-    `total` are +inf and the event ids are listed in `infeasible_events`.
-    """
+    """Evaluated objective: report cost, latency, and their rho-blend."""
 
     comm: float
     latency: float
     total: float
-    infeasible_events: tuple[int, ...] = ()
-
-    @property
-    def feasible(self) -> bool:
-        return not self.infeasible_events
-
-    def check_delivered(self) -> None:
-        """Raise ValidationError naming the events never delivered."""
-        ids = self.infeasible_events
-        if ids:
-            more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
-            raise ValidationError(
-                f"schedule never delivers events {list(ids[:5])}{more}"
-            )
 
 
 def evaluate(
@@ -550,7 +532,8 @@ def evaluate(
     Latency charges every observation (i, j) its weight times the time from
     the event to j's delivery: the K-th smallest of the earliest times at
     which distinct observers originated j, regardless of when system i
-    itself reported it.
+    itself reported it. Raises ValidationError naming the events that
+    fewer than K observers reported.
     """
     check_rho(rho)
     check_k(k, trace.n_systems)
@@ -584,13 +567,10 @@ def evaluate(
     gammas[delivered] = times[kth]
 
     if not delivered.all():
-        return CostBreakdown(
-            comm=comm,
-            latency=math.inf,
-            total=math.inf,
-            infeasible_events=tuple(
-                trace.event_ids[r] for r in np.flatnonzero(~delivered)
-            ),
+        ids = [trace.event_ids[r] for r in np.flatnonzero(~delivered)]
+        more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
+        raise ValidationError(
+            f"schedule never delivers events {ids[:5]}{more}"
         )
 
     row_sums = trace.weights.sum(axis=1)

@@ -121,7 +121,8 @@ def loop_evaluate(
     """`evaluate` as a loop over `Report` objects, one id lookup at a time.
 
     Each (event, system) pair is one hit, at that system's earliest report
-    of the event. Floats are added in the same order as the columnar
+    of the event; events with fewer than K hits raise the "never delivers"
+    ValidationError. Floats are added in the same order as the columnar
     `evaluate`, so the two agree bit for bit.
     """
     if not 0 < rho < 1:
@@ -143,21 +144,19 @@ def loop_evaluate(
             comm += cost_fn.of_total(total_w)
 
     gammas = np.empty(trace.n_events, dtype=np.float64)
-    infeasible: list[int] = []
+    undelivered: list[int] = []
     for pos, j in enumerate(trace.event_ids):
         times = sorted(hit_times[j].values())
         if len(times) < k:
-            gammas[pos] = math.inf
-            infeasible.append(j)
+            undelivered.append(j)
         else:
             gammas[pos] = times[k - 1]
 
-    if infeasible:
-        return CostBreakdown(
-            comm=comm,
-            latency=math.inf,
-            total=math.inf,
-            infeasible_events=tuple(infeasible),
+    if undelivered:
+        more = len(undelivered) - 5
+        raise ValidationError(
+            f"schedule never delivers events {undelivered[:5]}"
+            + (f" and {more} more" if more > 0 else "")
         )
 
     row_sums = trace.weights.sum(axis=1)

@@ -3,13 +3,14 @@ and exit codes."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from aggsim import cli
-from aggsim.cli import _schedule_csv, main
+from aggsim.cli import _write_schedule_csv, main
 from aggsim.graph import CommGraph, Role, compute_x, gen_udg, greedy_mis
 from aggsim.model import (
     EventTrace,
@@ -37,6 +38,13 @@ from aggsim.workload import (
 )
 
 import oracles
+
+
+def schedule_csv(schedule) -> str:
+    """What `aggsim run --out` writes for this schedule."""
+    buf = io.StringIO()
+    _write_schedule_csv(schedule, buf)
+    return buf.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -186,7 +194,7 @@ def test_run_default_theta_for_itc_and_net(capsys, tmp_path):
     )
     gpath = tmp_path / "g.txt"
     g.save(gpath)
-    x = compute_x(g).value
+    x = compute_x(g)
     cost = LogCost()
     cases = [
         ("itc", (), threshold_full(8, 2, 1.0, 0.3),
@@ -203,6 +211,32 @@ def test_run_default_theta_for_itc_and_net(capsys, tmp_path):
         total = evaluate(run(ThresholdPolicy(theta)), trace, 2, 0.3, cost).total
         assert f"theta={theta!r}\n" in out, alg
         assert f"total={total!r}\n" in out, alg
+
+
+def test_run_net_default_theta_takes_the_greedy_x(capsys, tmp_path):
+    # Hand-written roles: forward node 6 covers 7; the uncovered withhold
+    # nodes 0-5 form the 5-cycle 0-1-3-4-2 with node 5 joined to 3 and 4.
+    # Greedy takes node 0, then one of the triangle 3, 4, 5 (2 nodes);
+    # {1, 2, 5} is larger. The default theta is set at the greedy x.
+    g = CommGraph.from_edges(8, [
+        (0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5), (6, 7),
+    ]).with_roles([Role.WITHHOLD] * 6 + [Role.FORWARD, Role.WITHHOLD])
+    assert compute_x(g) == 1 + 2
+    assert oracles.brute_x(g.n, g.edges, g.forward_nodes()) == 1 + 3
+    gpath = tmp_path / "g.txt"
+    g.save(gpath)
+    trace_path = tmp_path / "t.csv"
+    gen_trace(
+        WorkloadSpec(PoissonArrivals(), BigEvents(), 40, 8, 3), ensure_k=1
+    ).to_csv(trace_path)
+    code, out, _ = run_cli(
+        capsys, "run", "--alg", "net", "--trace", str(trace_path),
+        "--graph", str(gpath), "--rho", "0.5",
+    )
+    assert code == 0
+    theta = threshold_partial(8, 1, 1.0, 3, 0.5)
+    assert theta != threshold_partial(8, 1, 1.0, 4, 0.5)
+    assert out.startswith(f"theta={theta!r}\n")
 
 
 def test_run_writes_schedule_csv(capsys, tmp_path):
@@ -247,7 +281,7 @@ def test_schedule_csv_matches_report_writer(capsys, tmp_path):
         [],
         [Report(0.25, (7,)), Report(0.75, (), (6,)), Report(2.0, (8, 9))],
     ])
-    assert _schedule_csv(hand) == oracles.report_schedule_csv(hand)
+    assert schedule_csv(hand) == oracles.report_schedule_csv(hand)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
@@ -259,9 +293,9 @@ def test_schedule_csv_is_the_same_in_every_chunk_size(monkeypatch, chunk):
         [Report(0.125, (10,))],
     ])
     monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
-    assert _schedule_csv(hand) == oracles.report_schedule_csv(hand)
+    assert schedule_csv(hand) == oracles.report_schedule_csv(hand)
     empty = oracles.schedule_of([[], []])
-    assert _schedule_csv(empty) == oracles.report_schedule_csv(empty)
+    assert schedule_csv(empty) == oracles.report_schedule_csv(empty)
 
 
 def test_run_net_requires_matching_graph(capsys, tmp_path, two_event_csv):
@@ -440,9 +474,7 @@ def test_gen_graph(capsys, tmp_path):
         [Role.FORWARD if v in fwd else Role.WITHHOLD for v in range(30)]
     )
     assert g.edges == want.edges and g.roles == want.roles
-    x = compute_x(g)
-    assert f"x={x.value} ({'exact' if x.exact else 'approx'})" in out
-    assert compute_x(want) == x
+    assert f"x={compute_x(g)} to {p}\n" in out
 
 
 def test_gen_graph_infeasible(capsys, tmp_path):

@@ -355,6 +355,46 @@ def test_undelivered_schedule_is_an_error_row(monkeypatch):
     assert rows[0].ratio is None
 
 
+# the names each sweep mode must resolve in `aggsim.harness` at call time;
+# the per-layer benchmark tracer swaps exactly these
+LAYER_NAMES = (
+    "gen_trace", "gen_udg", "greedy_mis", "greedy_cds",
+    "run_thb", "run_itc", "run_net", "evaluate", "offline_lb",
+)
+
+
+# the names beyond gen_trace, evaluate and offline_lb that each mode calls
+MODE_LAYERS = {
+    "none": {"run_thb"},
+    "full": {"run_itc"},
+    "n1": {"gen_udg", "greedy_mis", "run_net"},
+    "n2": {"gen_udg", "greedy_cds", "run_net"},
+}
+
+
+@pytest.mark.parametrize("mode", MODE_LAYERS)
+def test_sweep_calls_each_layer_through_harness_names(monkeypatch, mode):
+    calls = dict.fromkeys(LAYER_NAMES, 0)
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in LAYER_NAMES:
+        monkeypatch.setattr(harness, name, counting(name))
+    cfg = small_cfg(mode=mode, n_events=20, avg_degree=4.0)
+    rows = run_scenario(cfg, workers=1)
+    assert [r.error for r in rows] == [None, None]
+    want = MODE_LAYERS[mode] | {"gen_trace", "evaluate", "offline_lb"}
+    assert {name for name, n in calls.items() if n} == want
+    assert all(calls[name] == cfg.runs for name in want)
+
+
 def test_summary_csv():
     text = summary_to_csv(aggregate([fixed_row(2.0), fixed_row(4.0)]))
     lines = text.splitlines()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggsim.model import (
+    CostBreakdown,
     EventTrace,
     LogCost,
     Report,
@@ -283,11 +284,13 @@ def test_gamma_immediate_single_report():
 
 
 def test_gamma_short_of_k_is_infinite():
+    # an event whose K-th report never comes is never delivered
     tr = make_trace([1.0], [[1.0, 1.0]])
     sched = oracles.schedule_of(((Report(2.0, (0,)),), ()))
-    out = evaluate(sched, tr, 2, 0.5, UnityCost())
-    assert out.infeasible_events == (0,)
-    assert out.latency == math.inf
+    with pytest.raises(
+        ValidationError, match=r"^schedule never delivers events \[0\]$"
+    ):
+        evaluate(sched, tr, 2, 0.5, UnityCost())
 
 
 def test_gamma_ignores_nonobservers_and_forwards():
@@ -464,10 +467,11 @@ def test_gamma_matches_naive_on_random_schedules():
         sched = random_full_schedule(rng, tr)
         for k in range(1, tr.n_systems + 1):
             gammas = [oracles.naive_gamma(sched, tr, j, k) for j in tr.event_ids]
-            out = evaluate(sched, tr, k, 0.5, UnityCost())
             if math.inf in gammas:
-                assert not out.feasible
+                with pytest.raises(ValidationError, match="never delivers"):
+                    evaluate(sched, tr, k, 0.5, UnityCost())
                 continue
+            out = evaluate(sched, tr, k, 0.5, UnityCost())
             want = sum(
                 float(tr.weights[r].sum()) * (g - float(tr.times[r]))
                 for r, g in enumerate(gammas)
@@ -485,7 +489,6 @@ def test_evaluate_single_system_example():
     assert out.comm == 1.0
     assert out.latency == 2.0
     assert out.total == 1.5
-    assert out.feasible
 
 
 def test_evaluate_two_system_shared_event():
@@ -505,11 +508,19 @@ def test_evaluate_two_system_shared_event():
 def test_evaluate_infeasible_event():
     tr = make_trace([0.0, 1.0], [[1.0], [1.0]])
     sched = oracles.schedule_of(((Report(0.5, (0,)),),))
-    out = evaluate(sched, tr, 1, 0.5, UnityCost())
-    assert out.infeasible_events == (1,)
-    assert math.isinf(out.latency)
-    assert math.isinf(out.total)
-    assert not out.feasible
+    with pytest.raises(
+        ValidationError, match=r"^schedule never delivers events \[1\]$"
+    ):
+        evaluate(sched, tr, 1, 0.5, UnityCost())
+
+
+def test_evaluate_names_five_undelivered_events_and_counts_the_rest():
+    tr = make_trace([float(t) for t in range(8)], [[1.0]] * 8)
+    with pytest.raises(
+        ValidationError,
+        match=r"^schedule never delivers events \[0, 1, 2, 3, 4\] and 3 more$",
+    ):
+        evaluate(oracles.schedule_of(((),)), tr, 1, 0.5, UnityCost())
 
 
 def test_evaluate_rejects_bad_schedules():
@@ -595,10 +606,10 @@ def test_evaluate_counts_forwarded_copies_for_free():
     only_fwd = oracles.schedule_of(
         ((Report(2.0, (0,)),), (Report(3.0, (), forwarded_ids=(0,)),))
     )
-    full = evaluate(with_fwd, tr, 2, 0.5, UnityCost())
-    fwd = evaluate(only_fwd, tr, 2, 0.5, UnityCost())
-    assert full.feasible
-    assert not fwd.feasible  # forwarded copy does not reach K=2
+    evaluate(with_fwd, tr, 2, 0.5, UnityCost())
+    # the forwarded copy does not reach K=2
+    with pytest.raises(ValidationError, match="never delivers"):
+        evaluate(only_fwd, tr, 2, 0.5, UnityCost())
 
 
 def test_evaluate_matches_naive_on_random_instances():
@@ -609,11 +620,12 @@ def test_evaluate_matches_naive_on_random_instances():
         k = int(rng.integers(1, tr.n_systems + 1))
         rho = float(rng.uniform(0.1, 0.9))
         cost = COST_VARIANTS[int(rng.integers(len(COST_VARIANTS)))]
-        mine = evaluate(sched, tr, k, rho, cost)
         ref = oracles.naive_total(sched, tr, k, rho, cost)
         if math.isinf(ref):
-            assert not mine.feasible
+            with pytest.raises(ValidationError, match="never delivers"):
+                evaluate(sched, tr, k, rho, cost)
         else:
+            mine = evaluate(sched, tr, k, rho, cost)
             assert mine.total == pytest.approx(ref, abs=1e-9)
 
 
@@ -622,13 +634,15 @@ def test_one_system_counts_once_toward_k():
     # carrying it twice in one report, is still one observer
     tr = make_trace([1.0], [[1.0, 1.0]])
     twice = oracles.schedule_of(((Report(2.0, (0,)), Report(3.0, (0,))), ()))
-    out = evaluate(twice, tr, 2, 0.5, UnityCost())
-    assert out.comm == 2.0
-    assert out.infeasible_events == (0,)
-    assert out.total == math.inf
+    with pytest.raises(
+        ValidationError, match=r"^schedule never delivers events \[0\]$"
+    ):
+        evaluate(twice, tr, 2, 0.5, UnityCost())
     assert oracles.naive_gamma(twice, tr, 0, 2) == math.inf
-    # with K=1 the earlier of the two reports delivers it
-    assert evaluate(twice, tr, 1, 0.5, UnityCost()).latency == 2.0
+    # with K=1 the earlier of the two reports delivers it; both are paid
+    out = evaluate(twice, tr, 1, 0.5, UnityCost())
+    assert out.comm == 2.0
+    assert out.latency == 2.0
     for doubled in (Report(2.0, (0, 0)), Report(2.0, (0,), (0,))):
         sched = oracles.schedule_of(((doubled,), ()))
         with pytest.raises(ValidationError, match="carries event 0 twice"):
@@ -663,9 +677,18 @@ def random_schedule(rng, trace):
     return oracles.schedule_of(tuple(per))
 
 
+def _outcome(fn, *args):
+    """The CostBreakdown `fn` returns, or the message of its
+    ValidationError."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
 def test_evaluate_matches_loop_evaluator_bit_for_bit():
     rng = np.random.default_rng(59)
-    feasible = 0
+    delivered = 0
     for _ in range(300):
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 5))
@@ -681,15 +704,13 @@ def test_evaluate_matches_loop_evaluator_bit_for_bit():
         k = int(rng.integers(1, n + 1))
         rho = float(rng.uniform(0.1, 0.9))
         for cost in COST_VARIANTS:
-            mine = evaluate(sched, tr, k, rho, cost)
-            ref = oracles.loop_evaluate(sched, tr, k, rho, cost)
-            assert mine.comm == ref.comm
-            assert mine.latency == ref.latency
-            assert mine.total == ref.total
-            assert mine.infeasible_events == ref.infeasible_events
-            feasible += mine.feasible
+            mine = _outcome(evaluate, sched, tr, k, rho, cost)
+            ref = _outcome(oracles.loop_evaluate, sched, tr, k, rho, cost)
+            # equal floats, or the same "never delivers" message
+            assert mine == ref
+            delivered += isinstance(mine, CostBreakdown)
     # both branches are exercised
-    assert 0 < feasible < 300 * len(COST_VARIANTS)
+    assert 0 < delivered < 300 * len(COST_VARIANTS)
 
 
 def test_evaluate_permutation_symmetry():

@@ -441,7 +441,7 @@ def test_report_path_allocates_in_proportion_to_its_output():
         evaluate_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert out.feasible and sched.total_reports() > 100_000
+    assert math.isfinite(out.total) and sched.total_reports() > 100_000
     column_bytes = sum(
         getattr(sched, name).nbytes for name in sched.__slots__[1:]
     )
@@ -491,8 +491,7 @@ def test_forward_role_relays_and_suppresses():
     assert s.per_system[0][0].event_ids == (0,)
     assert s.per_system[1][0].forwarded_ids == (0,)
     assert s.per_system[2] == ()
-    out = evaluate(s, tr, 1, 0.5, UnityCost())
-    assert out.feasible
+    evaluate(s, tr, 1, 0.5, UnityCost())  # raises if never delivered
     # withholding roles do not relay: sys2 must then report on its own
     gw = g.with_roles([Role.WITHHOLD] * 3)
     sw = run_net(tr, ThresholdPolicy(1.0), 1, UnityCost(), gw)
@@ -508,7 +507,7 @@ def test_three_node_path_single_event_coverage():
     )
     s = run_net(tr, ThresholdPolicy(1.0), 1, UnityCost(), g)
     assert s.total_reports() == 2
-    assert evaluate(s, tr, 1, 0.5, UnityCost()).feasible
+    evaluate(s, tr, 1, 0.5, UnityCost())  # raises if never delivered
 
 
 def test_forward_node_reforwards_only_grown_rows():
@@ -1047,7 +1046,7 @@ def test_ratio_bounds_against_oracle_k1():
         assert cost / lb <= ratio_full(n, k, 1.0) + 1e-6
 
         g = CommGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        x = compute_x(g).value
+        x = compute_x(g)
         pol = ThresholdPolicy(threshold_partial(n, k, 1.0, x, rho))
         cost = evaluate(
             run_net(tr, pol, k, UnityCost(), g),
@@ -1089,5 +1088,5 @@ def test_all_algorithms_feasible_on_feasible_traces():
             run_itc(tr, pol, k, LogCost()),
             run_net(tr, pol, k, LogCost(), g),
         ):
-            out = evaluate(sched, tr, k, 0.5, LogCost())
-            assert out.feasible
+            # raises if some event is never delivered
+            evaluate(sched, tr, k, 0.5, LogCost())
