@@ -258,13 +258,20 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
     )
 
 
-def _greedy_mis(g: CommGraph, high_first: bool) -> frozenset[int]:
-    """Maximal independent set, greedily taking the node of minimum (or,
-    with `high_first`, maximum) degree in the shrinking residual graph;
-    ties break to the lowest node index."""
+def _greedy_mis(
+    g: CommGraph, high_first: bool, nodes: set[int] | None = None
+) -> frozenset[int]:
+    """Maximal independent set of the subgraph induced by `nodes` (every
+    node by default), greedily taking the node of minimum (or, with
+    `high_first`, maximum) degree in the shrinking residual graph; ties
+    break to the lowest node index."""
     sign = -1 if high_first else 1
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
+    if nodes is None:
+        alive = set(range(g.n))
+        deg = {v: g.degree(v) for v in alive}
+    else:
+        alive = set(nodes)
+        deg = {v: len(alive.intersection(g.neighbors(v))) for v in alive}
     chosen: set[int] = set()
     while alive:
         v = min(alive, key=lambda u: (sign * deg[u], u))
@@ -339,8 +346,4 @@ def compute_x(g: CommGraph) -> int:
     for v in fwd:
         blocked.update(g.neighbors(v))
     free = set(range(g.n)) - blocked
-    sub = CommGraph(
-        g.n,
-        frozenset((a, b) for a, b in g.edges if a in free and b in free),
-    )
-    return len(fwd) + len(greedy_mis(sub) & free)
+    return len(fwd) + len(_greedy_mis(g, high_first=False, nodes=free))

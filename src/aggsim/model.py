@@ -274,6 +274,10 @@ class EventTrace:
             raise TraceFormatError(exc.message, line=linenos[exc.row]) from None
 
 
+# reports scored at a time by `CommCost.of_reports`
+_REPORT_CHUNK = 4096
+
+
 class CommCost:
     """Cost of one report as a function of the reported measurement set.
 
@@ -292,9 +296,18 @@ class CommCost:
     ) -> np.ndarray:
         """Cost of each of `n_reports` reports from (report, weight) pairs
         sorted by report; each report's weights are added left to right,
-        and its cost is `of_total` of the sum, bit for bit."""
-        totals = _report_totals(report, weights, n_reports)
-        return np.array([self.of_total(x) for x in totals.tolist()])
+        and its cost is `of_total` of the sum, bit for bit.
+
+        Reports are scored `_REPORT_CHUNK` at a time, so the temporaries,
+        the Python floats included, stay bounded whatever the count.
+        """
+        costs = np.empty(n_reports)
+        for lo in range(0, n_reports, _REPORT_CHUNK):
+            hi = min(lo + _REPORT_CHUNK, n_reports)
+            a, b = np.searchsorted(report, (lo, hi)).tolist()
+            totals = _report_totals(report[a:b] - lo, weights[a:b], hi - lo)
+            costs[lo:hi] = [self.of_total(x) for x in totals.tolist()]
+        return costs
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

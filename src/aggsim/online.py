@@ -29,6 +29,7 @@ from aggsim.model import (
     CommCost,
     EventTrace,
     ReportSchedule,
+    UnityCost,
     ValidationError,
     check_k,
     check_rho,
@@ -146,6 +147,16 @@ def default_theta(
 # fewest forward-table entries added between two sweeps of dead rows
 _SWEEP_MIN = 1024
 
+# observations (rows times systems) the engine reads from the trace in one
+# block; a fixed row count would grow the lists a block makes with N
+_BLOCK_OBS = 4096
+
+
+def _cost_of(cost_fn: CommCost):
+    """`of_total`, or None for unity cost, whose theta * c(W) is theta:
+    theta * 1.0 is theta bit for bit."""
+    return None if isinstance(cost_fn, UnityCost) else cost_fn.of_total
+
 
 class _Engine:
     """Continuous-time trigger engine of `run_itc` and `run_net`.
@@ -161,18 +172,23 @@ class _Engine:
     every fire updates shared counts before the next minimum is taken,
     which realizes same-instant cascades.
 
-    Cost model: each event row's observers and weights are read once, as
-    Python lists, and each observer's crossing is recomputed once. Each
-    row and each fire take one `min` over the N crossings, inline in
-    `run`. Overhearing removes rows in place in the receiver loops of
-    `_share_full` and `_propagate_net`, with the tables held in locals: no
-    method call per removed row, and each removal subtracts the row's
-    weight and weight times time from the running sums (zeroed when the
-    set empties), in payload order. A fire then recomputes, in `_fire`,
-    the crossing of each system whose pending set it shrank (`touched`)
-    once, after the report has reached everyone who hears it, instead of
-    once per removed event. Only the full-scan reference in
-    `tests/oracles.py` removes rows through a method (`_remove`).
+    Cost model: the trace is read in blocks of about `_BLOCK_OBS`
+    observations (max(1, _BLOCK_OBS // N) rows): one `nonzero` and one
+    `count_nonzero` per block give every row's observers and weights as
+    flat Python lists, which each row slices, so a row pays no numpy call
+    of its own. Each observer's crossing is recomputed once per row, and
+    with unity cost its numerator theta * c(W) is the constant theta, with
+    no `of_total` call. Each row and each fire take one `min` over the N
+    crossings, inline in `run`. Overhearing removes rows in place in the
+    receiver loops of `_share_full` and `_propagate_net`, with the tables
+    held in locals: no method call per removed row, and each removal
+    subtracts the row's weight and weight times time from the running sums
+    (zeroed when the set empties), in payload order. A fire then
+    recomputes, in `_fire`, the crossing of each system whose pending set
+    it shrank (`touched`) once, after the report has reached everyone who
+    hears it, instead of once per removed event. Only the full-scan
+    reference in `tests/oracles.py` removes rows through a method
+    (`_remove`).
 
     With no graph, a report is heard by everyone and an event leaves every
     pending set once it has K reports (`_share_full`); with a graph,
@@ -215,7 +231,7 @@ class _Engine:
         self.trace = trace
         self.policy = policy
         self.k = k
-        self.cost_fn = cost_fn
+        self.of_total = _cost_of(cost_fn)
         self.n = n
 
         self.pend: list[dict[int, float]] = [dict() for _ in range(n)]
@@ -271,12 +287,12 @@ class _Engine:
         # the cost of the report it would send (inf if nothing is pending)
         touched = self.touched
         if touched:
-            theta = self.policy.theta
-            of_total = self.cost_fn.of_total
+            theta, of_total = self.policy.theta, self.of_total
             for r in touched:
                 if pend[r]:
                     aw = acc_w[r]
-                    t_star = (theta * of_total(aw) + acc_wt[r]) / aw
+                    num = theta if of_total is None else theta * of_total(aw)
+                    t_star = (num + acc_wt[r]) / aw
                     if t_star < t:
                         t_star = t
                     cross[r] = t_star
@@ -454,28 +470,38 @@ class _Engine:
 
     def run(self) -> ReportSchedule:
         weights = self.trace.weights
-        theta = self.policy.theta
-        of_total = self.cost_fn.of_total
+        theta, of_total = self.policy.theta, self.of_total
         pend, acc_w, acc_wt = self.pend, self.acc_w, self.acc_wt
-        cross = self.cross
+        cross, times = self.cross, self.times
         fire = self._fire
-        for row, t in enumerate(self.times):
-            # fire every crossing strictly before t, cascades included
-            t_star = min(cross)
-            while t_star < t:
-                fire(cross.index(t_star), t_star)
+        step = max(1, _BLOCK_OBS // self.n)
+        for lo in range(0, len(times), step):
+            # the observers of each row of the block, ascending, and their
+            # weights, as one flat list each
+            block = weights[lo : lo + step]
+            seen = block > 0
+            counts = np.count_nonzero(seen, axis=1).tolist()
+            observers = np.nonzero(seen)[1].tolist()
+            obs_w = block[seen].tolist()
+            end = 0
+            rows = range(lo, lo + len(counts))
+            for row, t, count in zip(rows, times[lo : lo + step], counts):
+                # fire every crossing strictly before t, cascades included
                 t_star = min(cross)
-            w_row = weights[row]
-            seen_by = np.flatnonzero(w_row > 0)
-            # arrivals in system order; the crossing as in _fire
-            for i, w in zip(seen_by.tolist(), w_row[seen_by].tolist()):
-                pend[i][row] = w
-                aw = acc_w[i] = acc_w[i] + w
-                awt = acc_wt[i] = acc_wt[i] + w * t
-                t_star = (theta * of_total(aw) + awt) / aw
-                if t_star < t:
-                    t_star = t
-                cross[i] = t_star
+                while t_star < t:
+                    fire(cross.index(t_star), t_star)
+                    t_star = min(cross)
+                start, end = end, end + count
+                # arrivals in system order; the crossing as in _fire
+                for i, w in zip(observers[start:end], obs_w[start:end]):
+                    pend[i][row] = w
+                    aw = acc_w[i] = acc_w[i] + w
+                    awt = acc_wt[i] = acc_wt[i] + w * t
+                    num = theta if of_total is None else theta * of_total(aw)
+                    t_star = (num + awt) / aw
+                    if t_star < t:
+                        t_star = t
+                    cross[i] = t_star
         t_star = min(cross)
         while t_star < math.inf:
             fire(cross.index(t_star), t_star)
@@ -511,7 +537,8 @@ def run_thb(
     scalar scan over the rows it observes. Before an arrival at t it fires
     if its crossing lies before t, then adds the arrival and recomputes the
     crossing (theta * c(W) + sum w * t_e) / W for pending weight W with
-    the engine's float steps, floored at t as there; the floor binds only
+    the engine's float steps (theta * c(W) is theta with unity cost, with
+    no `of_total` call), floored at t as there; the floor binds only
     when rounding would put a report before the event it carries. A report
     carries the observed rows since the previous one, so only where it ends
     is kept. A trailing pending set whose crossing overflows to inf (a tiny
@@ -521,8 +548,7 @@ def run_thb(
     """
     n = trace.n_systems
     check_k(k, n)
-    theta = policy.theta
-    of_total = cost_fn.of_total
+    theta, of_total = policy.theta, _cost_of(cost_fn)
     count = [0] * n
     # each system's fire times, the report number of each row it carries,
     # and the ids of those rows, as arrays made one system at a time
@@ -544,7 +570,8 @@ def run_thb(
                 acc_w = acc_wt = 0.0
             acc_w += w
             acc_wt += w * t
-            cross = (theta * of_total(acc_w) + acc_wt) / acc_w
+            num = theta if of_total is None else theta * of_total(acc_w)
+            cross = (num + acc_wt) / acc_w
             if cross < t:
                 cross = t
         if cross < math.inf:

@@ -7,6 +7,8 @@ beyond the public data types and the scalar cost callables, so agreement
 between the two routes is meaningful. `loop_evaluate` is the evaluator as a
 loop over `Report` objects; the columnar `evaluate` must match it bit for
 bit.
+`greedy_x_on_all_nodes` is `compute_x` with the greedy set taken over
+every node of a graph with the covered nodes isolated.
 Three references keep the library's own code paths instead: `full_scan_net`
 reuses the trigger engine's event loop and replaces only graph-limited
 forwarding, `reference_itc` and `reference_net` run the trigger engine as
@@ -30,7 +32,7 @@ import math
 
 import numpy as np
 
-from aggsim.graph import CommGraph, Role
+from aggsim.graph import CommGraph, Role, greedy_mis
 from aggsim.model import (
     CommCost,
     CostBreakdown,
@@ -455,6 +457,21 @@ def brute_x(n: int, edges, forward_nodes) -> int:
         ):
             best = max(best, len(nodes))
     return len(fwd) + best
+
+
+def greedy_x_on_all_nodes(g: CommGraph) -> int:
+    """`compute_x` as it ran `greedy_mis` over all n nodes, with every node
+    some forward node covers left isolated, and kept the uncovered ones."""
+    fwd = g.forward_nodes()
+    blocked = set(fwd)
+    for v in fwd:
+        blocked.update(g.neighbors(v))
+    free = set(range(g.n)) - blocked
+    sub = CommGraph(
+        g.n,
+        frozenset((a, b) for a, b in g.edges if a in free and b in free),
+    )
+    return len(fwd) + len(greedy_mis(sub) & free)
 
 
 class _FullScanNetEngine(_Engine):

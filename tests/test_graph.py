@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aggsim.graph import (
     CommGraph,
@@ -261,6 +263,29 @@ def test_x_against_brute_force():
         free = set(range(g.n)) - covered
         if not any(a in free and b in free for a, b in g.edges):
             assert x == brute
+
+
+@st.composite
+def role_graphs(draw):
+    """Graphs of up to 16 nodes, each pair joined with one drawn
+    probability, and a few forward nodes, so that many withhold nodes are
+    left uncovered."""
+    n = draw(st.integers(1, 16))
+    p = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forward = draw(st.sets(st.integers(0, n - 1), max_size=n // 4))
+    roles = [
+        Role.FORWARD if v in forward else Role.WITHHOLD for v in range(n)
+    ]
+    return random_graph(rng, n, p).with_roles(roles)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(role_graphs())
+def test_x_greedy_over_uncovered_nodes_equals_all_node_greedy(g):
+    # the greedy set over the uncovered withhold nodes alone picks as the
+    # greedy set over all n nodes, with the covered ones isolated, did
+    assert compute_x(g) == oracles.greedy_x_on_all_nodes(g)
 
 
 def test_x_mis_forwarders_collapse_to_mis_size():

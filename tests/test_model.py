@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggsim import model
 from aggsim.model import (
     CostBreakdown,
     EventTrace,
@@ -200,6 +201,23 @@ def test_array_costs_equal_scalar_calls(cost_fn):
     assert cost_fn.of_reports(report, weights, 40).tolist() == [
         cost_fn.of_total(x) for x in sums
     ]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 40, 4096])
+def test_report_costs_are_the_same_in_every_chunk_size(monkeypatch, chunk):
+    # reports are scored a chunk at a time; chunk ends fall inside runs of
+    # empty reports and between the pairs of long ones
+    rng = np.random.default_rng(17)
+    report = np.sort(rng.integers(0, 40, size=300))
+    report[report % 9 == 4] = 5
+    report.sort()
+    weights = rng.exponential(1.0, size=300)
+    sums = [0.0] * 43
+    for r, x in zip(report.tolist(), weights.tolist()):
+        sums[r] += x
+    monkeypatch.setattr(model, "_REPORT_CHUNK", chunk)
+    got = LogCost().of_reports(report, weights, 43)
+    assert got.tolist() == [LogCost().of_total(x) for x in sums]
 
 
 @pytest.mark.parametrize("cost_fn", [LogCost()])

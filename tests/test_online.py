@@ -20,7 +20,10 @@ from aggsim.graph import (
     greedy_cds,
     greedy_mis,
 )
+from aggsim import online
+from aggsim.harness import _alpha_for
 from aggsim.model import (
+    CommCost,
     EventTrace,
     LogCost,
     Report,
@@ -422,22 +425,24 @@ THB_PEAK_PER_COLUMN_BYTE = 1.5
 EVALUATE_PEAK_PER_COLUMN_BYTE = 1.5
 
 
-def test_report_path_allocates_in_proportion_to_its_output():
-    # the shape of the indep sweep's largest point: about 140k reports
+def _check_report_path_peaks(cost, alpha):
+    """run_thb and evaluate at the indep sweep's largest point (N=100,
+    m=2000, K=3) with the given cost and alpha: over 100k reports, and
+    traced allocation peaks within their bounds."""
     n, k = 100, 3
     tr = gen_trace(
         WorkloadSpec(PoissonArrivals(), SmallEvents(), 2000, n, 0), ensure_k=k
     )
-    pol = ThresholdPolicy(threshold_none(n, k, 1.0, 0.5))
+    pol = ThresholdPolicy(threshold_none(n, k, alpha, 0.5))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        sched = run_thb(tr, pol, k, UnityCost())
+        sched = run_thb(tr, pol, k, cost)
         thb_peak = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        out = evaluate(sched, tr, k, 0.5, UnityCost())
+        out = evaluate(sched, tr, k, 0.5, cost)
         evaluate_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -447,6 +452,18 @@ def test_report_path_allocates_in_proportion_to_its_output():
     )
     assert thb_peak <= THB_PEAK_PER_COLUMN_BYTE * column_bytes
     assert evaluate_peak <= EVALUATE_PEAK_PER_COLUMN_BYTE * column_bytes
+
+
+def test_report_path_allocates_in_proportion_to_its_output():
+    # unity cost: about 140k reports
+    _check_report_path_peaks(UnityCost(), 1.0)
+
+
+def test_log_cost_report_path_allocates_in_proportion_to_its_output():
+    # log cost with the sweep's alpha: about 180k reports, whose costs are
+    # scored in bounded chunks (evaluate's peak was about 3.0 column bytes
+    # when all were scored at once)
+    _check_report_path_peaks(LogCost(), _alpha_for("SPL", 100, 2000))
 
 
 def test_same_instant_cascade_after_removal():
@@ -956,6 +973,129 @@ def test_net_forward_tables_stay_bounded_by_live_rows():
             peaks.append(engine.peak)
         assert added[1] > 3 * added[0], added
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def _cascade_trace():
+    """Three systems, with all-zero rows around a same-instant cascade.
+
+    Row 1 reaches all three systems; system 0 crosses first, at
+    2.5 + 0.4 ln 22 / 20 (log cost, theta 0.4), before the all-zero row 2.
+    With K=1 its report drops row 1 from systems 1 and 2, which shrinks
+    system 1's report cost below its latency so that it fires at that very
+    instant with row 0.
+    """
+    return EventTrace(
+        [0.0, 2.5, 3.0, 3.5, 4.0, 6.0, 7.0, 7.5],
+        [
+            [0.0, 0.12, 0.0],
+            [20.0, 5.0, 1.0],
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 2.0],
+            [0.5, 0.5, 0.5],
+            [0.0, 0.0, 0.0],
+            [0.25, 2.0, 0.0],
+        ],
+    )
+
+
+def _block_graphs(n):
+    """A complete graph and a path with every other node forwarding."""
+    path = CommGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    return [
+        CommGraph.complete(n),
+        path.with_roles(
+            [Role.FORWARD if v % 2 else Role.WITHHOLD for v in range(n)]
+        ),
+    ]
+
+
+def test_cascade_trace_fires_two_systems_at_one_instant_before_row_2():
+    s = run_itc(_cascade_trace(), ThresholdPolicy(0.4), 1, LogCost())
+    t0 = 2.5 + 0.4 * math.log(22.0) / 20.0
+    assert s.per_system[0][0] == Report(s.time[0], (1,))
+    assert s.per_system[1][0] == Report(s.time[0], (0,))
+    assert s.time[0] == pytest.approx(t0) and s.time[0] < 3.0
+
+
+def test_block_size_does_not_change_the_schedule(monkeypatch):
+    # every block length from one row to the whole trace: some blocks end
+    # right before the cascade at row 2, some start or end at all-zero
+    # rows; the schedules must not depend on where blocks end
+    tr = _cascade_trace()
+    n = tr.n_systems
+    pol = ThresholdPolicy(0.4)
+    graphs = _block_graphs(n)
+    for cost in (UnityCost(), LogCost()):
+        for k in (1, 2, 3):
+            want = [oracles.reference_itc(tr, pol, k, cost)] + [
+                oracles.reference_net(tr, pol, k, cost, g) for g in graphs
+            ]
+            budgets = [1] + [rows * n for rows in range(1, tr.n_events + 1)]
+            for budget in budgets:
+                monkeypatch.setattr(online, "_BLOCK_OBS", budget)
+                got = [run_itc(tr, pol, k, cost)] + [
+                    run_net(tr, pol, k, cost, g) for g in graphs
+                ]
+                assert got == want, (cost, k, budget)
+
+
+def test_block_size_does_not_change_the_schedule_at_larger_n(monkeypatch):
+    # sparse rows at N=30 with runs of all-zero rows, in blocks of one row,
+    # of seven rows and of the default budget
+    n = 30
+    rng = np.random.default_rng(307)
+    g = gen_udg(n, 8, seed=3)
+    graphs = [
+        g.with_roles(
+            [Role.FORWARD if v in forward else Role.WITHHOLD for v in range(n)]
+        )
+        for forward in (greedy_mis(g), greedy_cds(g))
+    ]
+    pol = ThresholdPolicy(0.5)
+    for k in (1, 2, 3):
+        tr = sparse_trace(rng, n, 300, k)
+        w = tr.weights.copy()
+        w[rng.uniform(size=tr.n_events) < 0.2] = 0.0
+        tr = EventTrace(tr.times, w)
+        for cost in (UnityCost(), LogCost()):
+            want = [oracles.reference_itc(tr, pol, k, cost)] + [
+                oracles.reference_net(tr, pol, k, cost, g) for g in graphs
+            ]
+            for budget in (1, 7 * n + 5, online._BLOCK_OBS):
+                monkeypatch.setattr(online, "_BLOCK_OBS", budget)
+                got = [run_itc(tr, pol, k, cost)] + [
+                    run_net(tr, pol, k, cost, g) for g in graphs
+                ]
+                assert got == want, (cost, k, budget)
+
+
+class _GenericUnityCost(CommCost):
+    """Unity cost seen as any other cost: `of_total` is called and returns
+    1.0, where `UnityCost` takes theta * c(W) to be theta."""
+
+    def of_total(self, total_weight: float) -> float:
+        return 1.0
+
+
+def test_unity_numerator_equals_the_generic_path_bit_for_bit():
+    n = 20
+    g = gen_udg(n, 6, seed=5)
+    mis = greedy_mis(g)
+    graph = g.with_roles(
+        [Role.FORWARD if v in mis else Role.WITHHOLD for v in range(n)]
+    )
+    for k in (1, 2, 3):
+        spec = WorkloadSpec(PoissonArrivals(), SmallEvents(), 300, n, k)
+        tr = gen_trace(spec, ensure_k=k)
+        for theta in (0.05, 0.3, 1.7):
+            pol = ThresholdPolicy(theta)
+            for run in (
+                lambda cost: run_thb(tr, pol, k, cost),
+                lambda cost: run_itc(tr, pol, k, cost),
+                lambda cost: run_net(tr, pol, k, cost, graph),
+            ):
+                assert run(UnityCost()) == run(_GenericUnityCost())
 
 
 def test_removal_floors_the_next_crossing():
