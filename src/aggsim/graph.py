@@ -258,20 +258,13 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
     )
 
 
-def _greedy_mis(
-    g: CommGraph, high_first: bool, nodes: set[int] | None = None
-) -> frozenset[int]:
-    """Maximal independent set of the subgraph induced by `nodes` (every
-    node by default), greedily taking the node of minimum (or, with
-    `high_first`, maximum) degree in the shrinking residual graph; ties
-    break to the lowest node index."""
+def _greedy_mis(g: CommGraph, high_first: bool, nodes: Iterable[int]) -> frozenset[int]:
+    """Maximal independent set of the subgraph induced by `nodes`, greedily
+    taking the node of minimum (or, with `high_first`, maximum) degree in
+    the shrinking residual graph; ties break to the lowest node index."""
     sign = -1 if high_first else 1
-    if nodes is None:
-        alive = set(range(g.n))
-        deg = {v: g.degree(v) for v in alive}
-    else:
-        alive = set(nodes)
-        deg = {v: len(alive.intersection(g.neighbors(v))) for v in alive}
+    alive = set(nodes)
+    deg = {v: len(alive.intersection(g.neighbors(v))) for v in alive}
     chosen: set[int] = set()
     while alive:
         v = min(alive, key=lambda u: (sign * deg[u], u))
@@ -287,7 +280,7 @@ def _greedy_mis(
 
 def greedy_mis(g: CommGraph) -> frozenset[int]:
     """Maximal independent set, greedily taking the minimum-degree node."""
-    return _greedy_mis(g, high_first=False)
+    return _greedy_mis(g, high_first=False, nodes=range(g.n))
 
 
 def greedy_cds(g: CommGraph) -> frozenset[int]:
@@ -301,7 +294,7 @@ def greedy_cds(g: CommGraph) -> frozenset[int]:
     """
     if not g.is_connected():
         raise ValidationError("connected dominating set needs a connected graph")
-    cds = set(_greedy_mis(g, high_first=True))
+    cds = set(_greedy_mis(g, high_first=True, nodes=range(g.n)))
     while True:
         comp = g._component(min(cds), cds)
         if comp == cds:

@@ -148,8 +148,9 @@ def default_theta(
 _SWEEP_MIN = 1024
 
 # observations (rows times systems) the engine reads from the trace in one
-# block; a fixed row count would grow the lists a block makes with N
-_BLOCK_OBS = 4096
+# block; a fixed row count would grow the lists a block makes with N, and
+# a budget of 4096 raised the sweep's peak RSS for about 1% less CPU time
+_BLOCK_OBS = 1024
 
 
 def _cost_of(cost_fn: CommCost):
