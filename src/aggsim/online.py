@@ -4,8 +4,10 @@ Each system accumulates latency penalty for its locally unreported events
 and fires a report the instant that penalty reaches theta times the cost of
 the report it would send. Three intercommunication settings:
 
-  * none: systems run independently, as one scalar scan per system over
-    the rows it observes (run_thb);
+  * none: systems run independently, each a scan over the rows it
+    observes, computed as numpy rounds over blocks of systems that find
+    every observation's report at once, with Python only at reports of
+    more than one observation (run_thb);
   * full: every report is overheard by everyone, and events already
     reported K times are dropped from all pending sets (run_itc);
   * partial: overhearing is restricted to graph neighbors, with
@@ -19,6 +21,8 @@ against worst-case latency; each carries its proven competitive ratio.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -151,6 +155,16 @@ _SWEEP_MIN = 1024
 # block; a fixed row count would grow the lists a block makes with N, and
 # a budget of 4096 raised the sweep's peak RSS for about 1% less CPU time
 _BLOCK_OBS = 1024
+
+# observations run_thb takes in one block of whole systems; 8192 took
+# 5-10% less CPU time at N=100, m=2000, but doubles the block temporaries
+_THB_BLOCK_OBS = 4096
+# most numpy rounds per block of run_thb (0: none); a report still open
+# after them is scanned by the scalar steps
+_THB_ROUNDS = 8
+# mean report length (observations) above which run_thb scans the next
+# block without rounds
+_THB_LONG = 3
 
 
 def _cost_of(cost_fn: CommCost):
@@ -526,6 +540,132 @@ class _Engine:
         )
 
 
+def _crossings(theta, of_total, acc_w, acc_wt, t):
+    """The scan's crossing of each pending set: (theta * c(W) + sum w *
+    t_e) / W with c = `of_total` per total (math.log with log cost, which
+    `np.log` does not match on every CPU), floored at the arrival t."""
+    if of_total is None:
+        cross = (theta + acc_wt) / acc_w
+    else:
+        c = np.fromiter(map(of_total, acc_w.tolist()), float, acc_w.size)
+        cross = (theta * c + acc_wt) / acc_w
+    np.copyto(cross, t, where=cross < t)
+    return cross
+
+
+def _thb_block(t, w, last, theta, of_total, rounds):
+    """Every report of a block of whole systems: the observations that open
+    one, ascending, and each report's fire time (inf for a trailing one
+    that never fires).
+
+    The block lists each system's observations in time order, one system
+    after another; `last` indexes each system's last one. A report closes
+    after an observation unless its crossing is at or after `nt`, the
+    system's next arrival (NaN after its last observation, where every
+    report ends).
+
+    Round `step` extends the report that would open at every observation
+    p, were p an opening, by observation p + step, adding its w and w * t
+    left to right as the scan does (0.0 + w is w and 0.0 + w * t is
+    w * t). Round 0 closes most reports. The rounds stop after `rounds`
+    rounds, once none is open, or once a round closes under a quarter of
+    those it extended: reports are then long, and the scalar steps cost
+    less than more rounds.
+
+    One pass then follows the chain of openings (each system's first
+    observation, then the one after each report's last), visiting only
+    openings whose report is not one observation long. A report still
+    open after the rounds is scanned from its opening by the scalar steps,
+    and so are the reports after it, until one opens whose length the
+    rounds found. Without rounds the scalar steps scan the whole block.
+    The openings are the observations outside every longer report, marked
+    with a difference array.
+    """
+    size = t.size
+    if rounds:
+        nt = np.empty_like(t)
+        nt[:-1] = t[1:]
+        nt[last] = math.nan
+        wt = w * t
+        fire = _crossings(theta, of_total, w, wt, t)
+        still = fire >= nt
+        length = (~still).view(np.int8)  # 1 where round 0 closed the report
+        longer = at = np.flatnonzero(still)
+        acc_w, acc_wt = w[at], wt[at]
+        step, extended = 1, size
+        while at.size and step < rounds and 4 * at.size <= 3 * extended:
+            q = at + step
+            acc_w += w[q]
+            acc_wt += wt[q]
+            cross = _crossings(theta, of_total, acc_w, acc_wt, t[q])
+            still = cross >= nt[q]
+            done = ~still
+            length[at[done]] = step + 1
+            fire[at[done]] = cross[done]
+            extended = at.size
+            at, acc_w, acc_wt = at[still], acc_w[still], acc_wt[still]
+            step += 1
+        opens, sizes = longer.tolist(), length[longer].tolist()
+    else:
+        opens, sizes = [0], [0]
+    if not rounds or at.size:
+        # the scalar steps read Python floats, in one forward pass
+        ts, ws = t.tolist(), w.tolist()
+        nts = ts[1:] + [math.nan]
+        for e in last.tolist():
+            nts[e] = math.nan
+        known = length.tolist() if rounds else bytes(size)
+        steps = zip(range(size), ts, ws, nts)
+        pos = 0  # the observation `steps` yields next
+    # 1 (+1) into and 255 (-1) out of every report longer than one
+    # observation and every run of scanned reports
+    cover = bytearray(size + 1)
+    scanned, scan_fire = [], []
+    j = 0
+    while j < len(opens):
+        p = opens[j]
+        if sizes[j]:
+            stop = p + sizes[j]
+            cover[p + 1] = 1
+            cover[stop] = 255
+            j += 1
+            while j < len(opens) and opens[j] < stop:
+                j += 1
+            continue
+        # the scalar steps, from opening p until an opening whose report
+        # length the rounds found
+        next(itertools.islice(steps, p - pos, p - pos), None)
+        start = p
+        acc_w = acc_wt = 0.0
+        for q, t_q, w_q, nt_q in steps:
+            acc_w += w_q
+            acc_wt += w_q * t_q
+            num = theta if of_total is None else theta * of_total(acc_w)
+            cross = (num + acc_wt) / acc_w
+            if cross < t_q:
+                cross = t_q
+            if not cross >= nt_q:
+                scanned.append(start)
+                scan_fire.append(cross)
+                start = q + 1
+                if start == size or known[start]:
+                    break
+                acc_w = acc_wt = 0.0
+        cover[p + 1] = 1
+        cover[start] = 255
+        pos = start
+        j = bisect.bisect_left(opens, start, j + 1)
+    scan_fire = np.fromiter(scan_fire, float, len(scan_fire))
+    scanned = np.fromiter(scanned, np.intp, len(scanned))
+    if not rounds:
+        return scanned, scan_fire
+    opening = np.cumsum(np.frombuffer(cover, dtype=np.int8)[:-1]) == 0
+    opening[scanned] = True
+    fire[scanned] = scan_fire
+    opens = np.flatnonzero(opening)
+    return opens, fire[opens]
+
+
 def run_thb(
     trace: EventTrace,
     policy: ThresholdPolicy,
@@ -534,61 +674,88 @@ def run_thb(
 ) -> ReportSchedule:
     """Independent threshold reporting; every observer reports everything.
 
-    Systems share nothing (N copies of dynamic TCP ACK), so each runs one
-    scalar scan over the rows it observes. Before an arrival at t it fires
-    if its crossing lies before t, then adds the arrival and recomputes the
-    crossing (theta * c(W) + sum w * t_e) / W for pending weight W with
-    the engine's float steps (theta * c(W) is theta with unity cost, with
-    no `of_total` call), floored at t as there; the floor binds only
-    when rounding would put a report before the event it carries. A report
-    carries the observed rows since the previous one, so only where it ends
-    is kept. A trailing pending set whose crossing overflows to inf (a tiny
-    pending weight) is never reported, as in the engine. The schedule's
-    columns are built in system order, so the constructor keeps them
-    without a sort.
+    Systems share nothing (N copies of dynamic TCP ACK), so each one's
+    reports follow from a scan over the rows it observes: before an
+    arrival at t it fires if its crossing lies before t, then adds the
+    arrival and recomputes the crossing (theta * c(W) + sum w * t_e) / W
+    for pending weight W with the engine's float steps (theta * c(W) is
+    theta with unity cost, with no `of_total` call), floored at t as
+    there; the floor binds only when rounding would put a report before
+    the event it carries. A trailing pending set whose crossing overflows
+    to inf (a tiny pending weight) is never reported, as in the engine.
+
+    That scan runs as numpy rounds (`_thb_block`) over blocks of whole
+    systems, closed once past `_THB_BLOCK_OBS` observations. Round l
+    extends the report that would open at every observation p by
+    observation p + l, with the scan's float steps in its order (c(W) is
+    `of_total`, so `math.log` with log cost), and closes it where its
+    crossing lies before the next arrival. Most reports close on the
+    observation that opens them, so one Python pass over each system's
+    chain of openings stops only at the others. A report still open after
+    at most `_THB_ROUNDS` rounds continues as the scalar scan from its
+    opening, at the scan's cost per observation. After a block whose
+    reports average more than `_THB_LONG` observations, the next block is
+    scanned without rounds, until a block's reports average at most that
+    again. Every schedule is
+    the scan's bit for bit (`tests/oracles.py` keeps the scan as
+    `scan_thb`). The schedule's columns are built in system order, so the
+    constructor keeps them without a sort.
     """
     n = trace.n_systems
     check_k(k, n)
     theta, of_total = policy.theta, _cost_of(cost_fn)
-    count = [0] * n
-    # each system's fire times, the report number of each row it carries,
-    # and the ids of those rows, as arrays made one system at a time
+    observed = np.count_nonzero(trace.weights > 0, axis=0).tolist()
+    # blocks of whole systems [lo, hi), closed once over the budget
+    bounds = [0]
+    size = 0
+    for i, c in enumerate(observed):
+        if size and size + c > _THB_BLOCK_OBS:
+            bounds.append(i)
+            size = 0
+        size += c
+    bounds.append(n)
+    count = np.zeros(n, dtype=np.int64)
+    # each block's fire times, the report number of each row they carry
+    # and the ids of those rows
     times: list[np.ndarray] = []
     reports: list[np.ndarray] = []
     carried: list[np.ndarray] = []
     n_reports = 0
-    for i in range(n):
-        rows = np.flatnonzero(trace.weights[:, i] > 0)
-        ts, ws = trace.times[rows].tolist(), trace.weights[rows, i].tolist()
-        acc_w = acc_wt = 0.0
-        cross = math.inf
-        fired: list[float] = []
-        cuts = [0]  # the observed rows before cuts[-1] are reported
-        for j, (t, w) in enumerate(zip(ts, ws)):
-            if cross < t:
-                fired.append(cross)
-                cuts.append(j)
-                acc_w = acc_wt = 0.0
-            acc_w += w
-            acc_wt += w * t
-            num = theta if of_total is None else theta * of_total(acc_w)
-            cross = (num + acc_wt) / acc_w
-            if cross < t:
-                cross = t
-        if cross < math.inf:
-            fired.append(cross)
-            cuts.append(rows.size)
-        count[i] = len(fired)
-        times.append(np.array(fired))
-        reports.append(
-            np.repeat(np.arange(n_reports, n_reports + len(fired)), np.diff(cuts))
-        )
-        carried.append(trace.ids_of(rows[: cuts[-1]]))
-        n_reports += len(fired)
+    rounds = _THB_ROUNDS
+    # overflowing crossings are inf, and `nt` compares NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = trace.weights[:, lo:hi].T.copy()
+            seen = block > 0
+            system, rows = np.nonzero(seen)
+            if not rows.size:
+                continue
+            w = block[seen]
+            del block, seen
+            t = trace.times[rows]
+            last = np.flatnonzero(np.diff(system, append=n))
+            opens, fired = _thb_block(t, w, last, theta, of_total, rounds)
+            rounds = _THB_ROUNDS if opens.size * _THB_LONG >= t.size else 0
+            report = np.repeat(
+                np.arange(opens.size), np.diff(opens, append=t.size)
+            )
+            system = system[opens]
+            sent = fired < math.inf
+            if not sent.all():
+                # trailing reports whose crossing overflowed never fire
+                keep = sent[report]
+                report = (np.cumsum(sent) - 1)[report[keep]]
+                rows = rows[keep]
+                fired, system = fired[sent], system[sent]
+            count[lo:hi] = np.bincount(system, minlength=hi - lo)
+            times.append(fired)
+            reports.append(report + n_reports)
+            carried.append(trace.ids_of(rows))
+            n_reports += fired.size
     # join one column at a time, dropping its pieces before the next
     columns = []
     for pieces in (times, reports, carried):
-        columns.append(np.concatenate(pieces))
+        columns.append(np.concatenate(pieces) if pieces else np.empty(0))
         pieces.clear()
     time, report, ids = columns
     return ReportSchedule(n, np.repeat(np.arange(n), count), time, (report, ids))

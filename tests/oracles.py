@@ -17,6 +17,8 @@ pending set), and `full_dp_offline` is the segment DP scanning every start
 at every close, which the windowed oracle must match bit for bit.
 `report_schedule_csv` writes the `aggsim run --out` schedule CSV from
 `Report` objects, to pin the bytes of the columnar writer.
+`scan_thb` is `run_thb` as one scalar scan per system, the form its
+numpy rounds replaced.
 `schedule_of` builds a schedule from per-system `Report` lists, as tests
 write schedules by hand.
 `k1_schedule` turns a DP table's segment choices into a K=1 schedule, so
@@ -41,9 +43,10 @@ from aggsim.model import (
     ReportSchedule,
     UnityCost,
     ValidationError,
+    check_k,
 )
 from aggsim.offline import OfflineResult
-from aggsim.online import ThresholdPolicy, _Engine
+from aggsim.online import ThresholdPolicy, _cost_of, _Engine
 
 
 def time_of(trace: EventTrace, event_id: int) -> float:
@@ -331,6 +334,67 @@ def independent_thb(
                 pending = []
         out.append(reports)
     return out
+
+
+def scan_thb(
+    trace: EventTrace,
+    policy: ThresholdPolicy,
+    k: int,
+    cost_fn: CommCost,
+) -> ReportSchedule:
+    """`run_thb` as one scalar scan per system, one Python step per
+    observation; `run_thb`'s numpy rounds must match it bit for bit.
+
+    Before an arrival at t a system fires if its crossing lies before t,
+    then adds the arrival and recomputes the crossing
+    (theta * c(W) + sum w * t_e) / W, floored at t. A trailing pending set
+    whose crossing overflows to inf is never reported.
+    """
+    n = trace.n_systems
+    check_k(k, n)
+    theta, of_total = policy.theta, _cost_of(cost_fn)
+    count = [0] * n
+    # each system's fire times, the report number of each row it carries,
+    # and the ids of those rows, as arrays made one system at a time
+    times: list[np.ndarray] = []
+    reports: list[np.ndarray] = []
+    carried: list[np.ndarray] = []
+    n_reports = 0
+    for i in range(n):
+        rows = np.flatnonzero(trace.weights[:, i] > 0)
+        ts, ws = trace.times[rows].tolist(), trace.weights[rows, i].tolist()
+        acc_w = acc_wt = 0.0
+        cross = math.inf
+        fired: list[float] = []
+        cuts = [0]  # the observed rows before cuts[-1] are reported
+        for j, (t, w) in enumerate(zip(ts, ws)):
+            if cross < t:
+                fired.append(cross)
+                cuts.append(j)
+                acc_w = acc_wt = 0.0
+            acc_w += w
+            acc_wt += w * t
+            num = theta if of_total is None else theta * of_total(acc_w)
+            cross = (num + acc_wt) / acc_w
+            if cross < t:
+                cross = t
+        if cross < math.inf:
+            fired.append(cross)
+            cuts.append(rows.size)
+        count[i] = len(fired)
+        times.append(np.array(fired))
+        reports.append(
+            np.repeat(np.arange(n_reports, n_reports + len(fired)), np.diff(cuts))
+        )
+        carried.append(trace.ids_of(rows[: cuts[-1]]))
+        n_reports += len(fired)
+    # join one column at a time, dropping its pieces before the next
+    columns = []
+    for pieces in (times, reports, carried):
+        columns.append(np.concatenate(pieces))
+        pieces.clear()
+    time, report, ids = columns
+    return ReportSchedule(n, np.repeat(np.arange(n), count), time, (report, ids))
 
 
 def accumulate_lat(

@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,9 +385,9 @@ def test_thb_crossing_tied_with_next_arrival_waits_for_it():
 
 
 @st.composite
-def thb_instances(draw):
+def thb_instances(draw, thetas=(0.1, 0.5, 1.0, 2.5)):
     """Small traces with integer or real gaps, sparse and subnormal
-    weights and permuted event ids."""
+    weights and permuted event ids, with a threshold from `thetas`."""
     def exactly(size, values):
         return st.lists(values, min_size=size, max_size=size)
 
@@ -401,7 +403,7 @@ def thb_instances(draw):
             np.array(draw(exactly(m, exactly(n, grid)))),
             draw(st.permutations(range(100, 100 + m))),
         ),
-        ThresholdPolicy(draw(st.sampled_from([0.1, 0.5, 1.0, 2.5]))),
+        ThresholdPolicy(draw(st.sampled_from(thetas))),
         draw(st.sampled_from([UnityCost(), LogCost()])),
     )
 
@@ -416,6 +418,112 @@ def test_thb_system_equals_engine_on_its_column(inst):
     for i in range(tr.n_systems):
         column = EventTrace(tr.times, tr.weights[:, [i]], tr.event_ids)
         assert got[i] == run_itc(column, pol, 1, cost).per_system[0]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    thb_instances(thetas=(0.01, 0.1, 0.5, 2.5, 10.0, 100.0, 1000.0)),
+    st.sampled_from([1, 2, 5, 16, 64, online._THB_BLOCK_OBS]),
+    st.integers(0, 4),
+    st.sampled_from([1, 3, 10**9]),
+    st.booleans(),
+)
+def test_thb_rounds_equal_the_scalar_scan(inst, budget, rounds, long, shift):
+    # large thresholds make reports of many observations, which outlast
+    # the rounds and take the scalar steps; small budgets split the trace
+    # into many blocks, and the long-report rule switches blocks between
+    # rounds and the scalar steps (all of them with no rounds at all);
+    # times shifted by 1e9 round differently
+    tr, pol, cost = inst
+    if shift:
+        tr = EventTrace(tr.times + 1e9, tr.weights, tr.event_ids)
+    with (
+        mock.patch.object(online, "_THB_BLOCK_OBS", budget),
+        mock.patch.object(online, "_THB_ROUNDS", rounds),
+        mock.patch.object(online, "_THB_LONG", long),
+    ):
+        got = run_thb(tr, pol, 1, cost)
+    assert got == oracles.scan_thb(tr, pol, 1, cost)
+
+
+@pytest.mark.parametrize(
+    "scenario, n, k",
+    [("SPU", 25, 1), ("SPU", 25, 3), ("SPU", 100, 1), ("SPU", 100, 3),
+     ("SPL", 100, 3)],
+)
+def test_thb_rounds_equal_the_scalar_scan_at_the_indep_shapes(scenario, n, k):
+    # the indep benchmark's sweep points (m=2000, the sweep's theta), and
+    # SPL's log cost, over many blocks of the default budget, at the
+    # default theta and at 10x, 100x and 1000x it
+    cost = LogCost() if scenario == "SPL" else UnityCost()
+    tr = gen_trace(
+        WorkloadSpec(PoissonArrivals(), SmallEvents(), 2000, n, 0), ensure_k=k
+    )
+    theta = threshold_none(n, k, _alpha_for(scenario, n, 2000), 0.5)
+    for scale in (1, 10, 100, 1000):
+        pol = ThresholdPolicy(scale * theta)
+        assert run_thb(tr, pol, k, cost) == oracles.scan_thb(tr, pol, k, cost)
+
+
+def _thb_block_trace():
+    """Four systems over 12 rows, with reports of one to many observations.
+
+    System 0 observes every row, more than the smallest budgets hold, and
+    system 1 none. System 2's last observation, weight 1e-310, comes after
+    its other reports have fired at thresholds up to 3, so its crossing
+    overflows to inf and that trailing report never fires. System 3
+    observes every other row.
+    """
+    w = np.zeros((12, 4))
+    w[:, 0] = [2.0, 0.1, 0.1, 3.0, 0.05, 0.05, 0.05, 1.0, 4.0, 0.2, 0.1, 0.5]
+    w[[0, 3, 4, 11], 2] = [1.0, 2.0, 0.5, 1e-310]
+    w[::2, 3] = [0.25, 0.5, 1.0, 2.0, 0.125, 8.0]
+    return EventTrace(np.cumsum(np.arange(1.0, 13.0)) / 4.0, w)
+
+
+def test_thb_block_budget_and_round_cap_do_not_change_the_schedule(
+    monkeypatch,
+):
+    # every budget from one observation to past the whole trace, every
+    # round cap from none to past the longest report, and blocks with and
+    # without rounds
+    tr = _thb_block_trace()
+    n_obs = int(np.count_nonzero(tr.weights))
+    for cost in (UnityCost(), LogCost()):
+        for theta in (0.05, 0.5, 3.0, 40.0):
+            pol = ThresholdPolicy(theta)
+            want = oracles.scan_thb(tr, pol, 1, cost)
+            assert not want.per_system[1]
+            if theta < 40.0:
+                # system 2's trailing report, row 11 alone, never fires
+                assert 11 not in [
+                    e for r in want.per_system[2] for e in r.event_ids
+                ]
+            for budget in range(1, n_obs + 2):
+                for rounds in range(14):
+                    for long in (1, 10**9):
+                        monkeypatch.setattr(online, "_THB_BLOCK_OBS", budget)
+                        monkeypatch.setattr(online, "_THB_ROUNDS", rounds)
+                        monkeypatch.setattr(online, "_THB_LONG", long)
+                        got = run_thb(tr, pol, 1, cost)
+                        assert got == want, (cost, theta, budget, rounds, long)
+
+
+def test_thb_overflowing_crossing_fires_no_report_and_warns_nothing():
+    # ROADMAP item 2's subnormal trace: the crossing of a lone 1e-310
+    # observation at t=1 overflows to inf, so the report never fires, in
+    # the numpy rounds as in the scalar steps and the engine
+    tr = EventTrace([1.0], [[1e-310]])
+    for cost in (UnityCost(), LogCost()):
+        for rounds in (1, 0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with mock.patch.object(online, "_THB_ROUNDS", rounds):
+                    s = run_thb(tr, ThresholdPolicy(1.0), 1, cost)
+            assert s.total_reports() == 0 and s.orig_id.size == 0
+            assert s == run_net(
+                tr, ThresholdPolicy(1.0), 1, cost, CommGraph.from_edges(1, [])
+            )
 
 
 # traced allocation peaks allowed on the report path, as multiples of the
@@ -1120,7 +1228,10 @@ def test_arrival_floors_a_crossing_that_rounds_early():
     tr = EventTrace([t], [[w, 0.0]])
     pol = ThresholdPolicy(1e-300)
     want = ((Report(t, (0,)),), ())
-    assert run_thb(tr, pol, 1, UnityCost()).per_system == want
+    # run_thb's numpy rounds, then its scalar steps
+    for rounds in (online._THB_ROUNDS, 0):
+        with mock.patch.object(online, "_THB_ROUNDS", rounds):
+            assert run_thb(tr, pol, 1, UnityCost()).per_system == want
     assert run_itc(tr, pol, 1, UnityCost()).per_system == want
     assert run_net(tr, pol, 1, UnityCost(), CommGraph.complete(2)).per_system == want
 
