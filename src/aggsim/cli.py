@@ -29,15 +29,11 @@ from .offline import offline_lb
 from .online import (
     balance_root,
     default_theta,
-    ratio_full,
     ratio_none,
     ratio_partial,
     run_itc,
     run_net,
     run_thb,
-    threshold_full,
-    threshold_none,
-    threshold_partial,
     ThresholdPolicy,
 )
 from .workload import (
@@ -255,21 +251,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_theta(args) -> int:
     if args.x is not None and args.mode != "partial":
         raise ValidationError("--x applies only to --mode partial")
-    if args.mode == "none":
-        theta = threshold_none(args.N, args.K, args.alpha, args.rho)
+    if args.mode == "partial" and args.x is None:
+        raise ValidationError("--mode partial requires --x")
+    x = {"none": None, "full": 1.0}.get(args.mode, args.x)
+    theta = default_theta(args.N, args.K, args.alpha, args.rho, x)
+    if x is None:
         cr = ratio_none(args.N, args.K, args.alpha)
-    elif args.mode == "full":
-        theta = threshold_full(args.N, args.K, args.alpha, args.rho)
-        cr = ratio_full(args.N, args.K, args.alpha)
     else:
-        if args.x is None:
-            raise ValidationError("--mode partial requires --x")
-        theta = threshold_partial(args.N, args.K, args.alpha, args.x, args.rho)
-        cr = ratio_partial(args.N, args.K, args.alpha, args.x)
+        cr = ratio_partial(args.N, args.K, args.alpha, x)
     print(f"theta={repr(theta)}")
     print(f"CR={repr(cr)}")
-    if args.mode != "none":
-        x = 1.0 if args.mode == "full" else args.x
+    if x is not None:
         print(f"phi={repr(balance_root(args.N, args.K, args.alpha, x))}")
     return 0
 

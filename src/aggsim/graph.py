@@ -97,9 +97,6 @@ class CommGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adj[i]
 
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
     @property
     def avg_degree(self) -> float:
         return 2.0 * len(self.edges) / self.n

@@ -44,7 +44,7 @@ from .workload import (
     perturb,
 )
 
-MODES = ("none", "full", "nc", "fc", "n1", "n2")
+MODES = ("none", "full", "n1", "n2")
 
 _MAGNITUDES = {"B": BigEvents, "S": SmallEvents}
 _ARRIVALS = {"C": ConstantArrivals, "P": PoissonArrivals, "H": WeibullArrivals}
@@ -270,8 +270,8 @@ def _run_rep(
             roles = "mis" if cfg.mode == "n1" else "cds"
             graph = build_graph(n, cfg.avg_degree, graph_seed, roles)
             x = compute_x(graph)
-        elif cfg.mode != "none":
-            x = n if cfg.mode == "nc" else 1  # full and fc: x = 1
+        elif cfg.mode == "full":
+            x = 1
         theta = (
             theta_override
             if theta_override is not None
@@ -279,12 +279,10 @@ def _run_rep(
         )
     policy = ThresholdPolicy(theta)
 
-    # nc and fc keep the partial-regime theta at x = N and x = 1, where
-    # run_net on the empty and complete graphs equals run_thb and run_itc
     t0 = time.perf_counter()
-    if cfg.mode in ("none", "nc"):
+    if cfg.mode == "none":
         sched = run_thb(trace, policy, k, cost_fn)
-    elif cfg.mode in ("full", "fc"):
+    elif cfg.mode == "full":
         sched = run_itc(trace, policy, k, cost_fn)
     else:
         sched = run_net(trace, policy, k, cost_fn, graph)

@@ -101,25 +101,14 @@ def balance_root(n: int, k: int, alpha: float, x: float = 1.0) -> float:
     """Positive root phi of phi + 1 = (alpha/K) * (N/phi + x).
 
     phi balances the two sides of the cost bound; x is the network
-    parameter (x=1: full intercommunication, x=N: none, where phi
-    collapses to alpha*N/K exactly).
+    parameter (x=1: full intercommunication, x=N: none, where phi is
+    alpha*N/K up to rounding, a few ulps).
     """
     _check_params(n, k, alpha, None)
     if not 1 <= x <= n:
         raise ValidationError(f"x must lie in [1, {n}], got {x}")
     ax = alpha * x
     return (math.sqrt((ax - k) ** 2 + 4.0 * alpha * k * n) + ax - k) / (2.0 * k)
-
-
-def threshold_full(n: int, k: int, alpha: float, rho: float) -> float:
-    """Threshold under full intercommunication: rho / ((1-rho) * phi)."""
-    _check_params(n, k, alpha, rho)
-    return rho / ((1.0 - rho) * balance_root(n, k, alpha, 1.0))
-
-
-def ratio_full(n: int, k: int, alpha: float) -> float:
-    """Proven competitive ratio under full intercommunication: phi + 1."""
-    return balance_root(n, k, alpha, 1.0) + 1.0
 
 
 def threshold_partial(
@@ -135,12 +124,22 @@ def ratio_partial(n: int, k: int, alpha: float, x: float) -> float:
     return balance_root(n, k, alpha, x) + 1.0
 
 
+def threshold_full(n: int, k: int, alpha: float, rho: float) -> float:
+    """Threshold under full intercommunication: the partial one at x=1."""
+    return threshold_partial(n, k, alpha, 1.0, rho)
+
+
+def ratio_full(n: int, k: int, alpha: float) -> float:
+    """Proven ratio under full intercommunication: the partial one at x=1."""
+    return ratio_partial(n, k, alpha, 1.0)
+
+
 def default_theta(
     n: int, k: int, alpha: float, rho: float, x: float | None
 ) -> float:
     """The matching bound's threshold: `threshold_none` without
     intercommunication (x None), else `threshold_partial` at network
-    parameter x (x=1, full intercommunication, is `threshold_full`)."""
+    parameter x (x=1 is full intercommunication)."""
     if x is None:
         return threshold_none(n, k, alpha, rho)
     return threshold_partial(n, k, alpha, x, rho)

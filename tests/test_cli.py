@@ -73,14 +73,20 @@ def test_theta_single_system(capsys):
     assert "CR=2.0" in out
 
 
+# full intercommunication is the partial setting at x=1, line for line
+FULL_MODES = [("--mode", "full"), ("--mode", "partial", "--x", "1")]
+
+
 def test_theta_full_hundred(capsys):
-    code, out, _ = run_cli(
-        capsys, "theta", "--mode", "full", "--N", "100", "--rho", "0.5",
-    )
-    assert code == 0
-    assert "phi=10.0" in out
-    assert "CR=11.0" in out
-    assert f"theta={repr(threshold_full(100, 1, 1.0, 0.5))}" in out
+    for mode in FULL_MODES:
+        code, out, _ = run_cli(
+            capsys, "theta", *mode, "--N", "100", "--rho", "0.5",
+        )
+        assert code == 0
+        assert out == (
+            f"theta={repr(threshold_full(100, 1, 1.0, 0.5))}\n"
+            "CR=11.0\nphi=10.0\n"
+        ), mode
 
 
 def test_theta_partial_needs_x(capsys):
@@ -114,11 +120,13 @@ def test_theta_invalid_setting(capsys):
     assert code == 1 and "error:" in err
 
 
-@pytest.mark.parametrize("mode", ["none", "full"])
+@pytest.mark.parametrize(
+    "mode", [("--mode", "none"), *FULL_MODES], ids=["none", "full", "x1"]
+)
 @pytest.mark.parametrize("alpha", ["nan", "inf", "0.5"])
 def test_theta_rejects_alpha_outside_one_to_inf(capsys, mode, alpha):
     code, out, err = run_cli(
-        capsys, "theta", "--mode", mode, "--N", "10", "--rho", "0.5",
+        capsys, "theta", *mode, "--N", "10", "--rho", "0.5",
         "--alpha", alpha,
     )
     assert code == 1 and out == ""
@@ -621,6 +629,27 @@ def test_sweep_wrongly_typed_config_names_the_key(
     )
     assert code == 1
     assert f"error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["nc", "fc"])
+def test_sweep_alias_modes_exit_one(capsys, tmp_path, mode):
+    # the aliases are gone: mode none or full with an explicit theta
+    # reproduces either one
+    cfg = write_config(
+        tmp_path,
+        '{"scenario": "SPU", "mode": "%s", "N": [4], "K": [1],'
+        ' "rho": [0.5], "runs": 1, "n_events": 10}' % mode,
+    )
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+        "--workers", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: mode must be one of ('none', 'full', 'n1', 'n2'),"
+        f" got '{mode}'\n"
+    )
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(

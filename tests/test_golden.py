@@ -36,22 +36,6 @@ GOLDEN = {
         "3d81c0ce1d13c6412e52b71fcb928a2ca0a59698adabe85ea4ffbc7f51aeda4d",
         "0006a1f86aa4d1aee4149ae4e3d9d984c58d79b95557a88415d675703163ba96",
     ),
-    ("SPU", "nc", 0.0): (
-        "48c48bbc8a7369645bc92c98f661bc0d192636d212be89f8e5face66caff1dc3",
-        "620943b744957d5d7bb570a50436b7e849e224bf1f6ef14e3d6cabbd7d1bc3d9",
-    ),
-    ("SHL", "nc", 0.0): (
-        "3efacf123997b064d8a764503bf42bab9e6ef1eabd21c066a39478f167c6ea41",
-        "71d81ed18cb14d9869b001e724dff3055646e01ae5bef0531b605de8dc7721ea",
-    ),
-    ("SPU", "fc", 0.0): (
-        "ee60ea226964f57e49cce4decde0cb43a553536ea5ff8be05bf18964313459ab",
-        "251bea1eaddd50602c3e949ed371d614e71500de50ba8bcbfdc241bbed45a5fe",
-    ),
-    ("SHL", "fc", 0.0): (
-        "69ac60c68f7970a738d5b726f4fee765747a0206209d29e791d8fb4285a6b7b7",
-        "17d6526378c36bc120fdd3ca144b55b6018313901c4bc99a51612dc0eadf4e83",
-    ),
     ("SPU", "n1", 0.0): (
         "8ac0a6076e14c8f55c292dd06cd7c3afff9ecacbd30b06170c37b126218db532",
         "cf143635fad87384550dbb47c4953c45b832111f219f85b3eff9509e96592ac7",
@@ -76,7 +60,7 @@ GOLDEN = {
 
 CASES = [
     (code, mode, 0.0)
-    for mode in ("none", "full", "nc", "fc", "n1", "n2")
+    for mode in ("none", "full", "n1", "n2")
     for code in ("SPU", "SHL")
 ] + [("ADV2", "none", 0.1)]
 

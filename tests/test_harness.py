@@ -181,22 +181,6 @@ def test_theta_override_recorded():
     assert all(r.theta == 0.25 for r in rows)
 
 
-def test_nc_mirrors_none_and_fc_mirrors_full():
-    base = dict(n_values=(6,), runs=2, n_events=30, seed=11)
-    none_rows = run_scenario(small_cfg(mode="none", **base), workers=1)
-    nc_rows = run_scenario(small_cfg(mode="nc", **base), workers=1)
-    full_rows = run_scenario(small_cfg(mode="full", **base), workers=1)
-    fc_rows = run_scenario(small_cfg(mode="fc", **base), workers=1)
-    for a, b in zip(none_rows, nc_rows):
-        assert a.seed == b.seed
-        assert a.theta == b.theta  # x=N threshold collapses exactly
-        assert a.alg_cost == b.alg_cost and a.ratio == b.ratio
-    for a, b in zip(full_rows, fc_rows):
-        assert a.seed == b.seed
-        assert a.theta == b.theta
-        assert a.alg_cost == b.alg_cost and a.ratio == b.ratio
-
-
 def test_udg_role_modes():
     cfg = small_cfg(
         mode="n1", n_values=(25,), runs=2, n_events=30, avg_degree=6.0, seed=5

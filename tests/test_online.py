@@ -80,18 +80,23 @@ def test_threshold_full_values():
 
 
 def test_threshold_partial_endpoints():
-    # x=1 is the full-intercommunication setting
-    assert threshold_partial(40, 3, 1.5, 1.0, 0.3) == threshold_full(
-        40, 3, 1.5, 0.3
-    )
-    # x=N collapses to the no-intercommunication setting
-    for n, k, alpha in [(10, 1, 1.0), (64, 2, 1.0), (25, 5, 2.0)]:
-        assert ratio_partial(n, k, alpha, n) == pytest.approx(
-            ratio_none(n, k, alpha), abs=1e-12
-        )
-        assert threshold_partial(n, k, alpha, n, 0.5) == pytest.approx(
-            threshold_none(n, k, alpha, 0.5), abs=1e-12
-        )
+    # x alone picks a setting: x=1 gives the full forms bit for bit, also
+    # at the int x the sweep passes, and x=N gives the none forms up to
+    # rounding in balance_root (at most 3 ulps measured on N <= 1000)
+    for n in [*range(1, 121), 250, 500, 999, 1000]:
+        for k in range(1, min(8, n) + 1):
+            for alpha in (1.0, 1.5, 2.0, 3.7, 10.0, 20.0):
+                assert ratio_partial(n, k, alpha, 1) == ratio_full(n, k, alpha)
+                cr = ratio_none(n, k, alpha)
+                gap = abs(ratio_partial(n, k, alpha, n) - cr)
+                assert gap <= 4 * math.ulp(cr)
+                for rho in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+                    full = threshold_full(n, k, alpha, rho)
+                    assert threshold_partial(n, k, alpha, 1, rho) == full
+                    assert threshold_partial(n, k, alpha, 1.0, rho) == full
+                    none = threshold_none(n, k, alpha, rho)
+                    gap = abs(threshold_partial(n, k, alpha, n, rho) - none)
+                    assert gap <= 4 * math.ulp(none)
 
 
 def test_balance_root_x10_value():
