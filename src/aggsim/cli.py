@@ -87,10 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--cost", default="unity")
     p.add_argument("--theta", type=float, default=None,
-                   help="trigger threshold (default: matching bound formula)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="cost spread used for the default threshold "
-                        "(default 1)")
+                   help="trigger threshold (default: bound formula, alpha 1)")
     p.add_argument("--graph", default=None, help="graph file for --alg net")
     p.add_argument("--out", default=None, help="write the schedule as CSV")
 
@@ -203,10 +200,7 @@ def _cmd_run(args) -> int:
         x = 1
     theta = args.theta
     if theta is None:
-        alpha = 1.0 if args.alpha is None else args.alpha
-        theta = default_theta(n, args.K, alpha, args.rho, x)
-    elif args.alpha is not None:
-        raise ValidationError("--alpha applies only without --theta")
+        theta = default_theta(n, args.K, 1.0, args.rho, x)
     policy = ThresholdPolicy(theta)
     if args.alg == "thb":
         sched = run_thb(trace, policy, args.K, cost_fn)

@@ -315,8 +315,6 @@ def greedy_cds(g: CommGraph) -> frozenset[int]:
                 if target is not None:
                     break
             frontier = nxt
-        if target is None:
-            raise ValidationError("graph became disconnected during CDS build")
         v = parent[target]
         while v is not None and v not in comp:
             cds.add(v)

@@ -79,17 +79,18 @@ class EventTrace:
     """Immutable ordered event stream with an (m, N) weight matrix.
 
     Weights are stored as a read-only float64 array with one row per event and
-    one column per system. Times must be strictly increasing and nonnegative,
-    weights nonnegative and finite.
+    one column per system, and event ids as a read-only int64 array (0..m-1
+    unless given). Times must be strictly increasing and nonnegative,
+    weights nonnegative and finite, and ids distinct.
     """
 
-    __slots__ = ("times", "weights", "event_ids", "_ids", "_by_id")
+    __slots__ = ("times", "weights", "event_ids", "_by_id")
 
     def __init__(
         self,
         times: Sequence[float] | np.ndarray,
         weights: Sequence[Sequence[float]] | np.ndarray,
-        event_ids: Sequence[int] | None = None,
+        event_ids: Sequence[int] | np.ndarray | None = None,
     ):
         t = np.asarray(times, dtype=np.float64)
         w = np.asarray(weights, dtype=np.float64)
@@ -127,29 +128,26 @@ class EventTrace:
                 int(np.argmax(bad_sum)),
             )
         if event_ids is None:
-            ids = tuple(range(t.shape[0]))
-        else:
-            ids = tuple(int(e) for e in event_ids)
-            if len(ids) != t.shape[0]:
-                raise ValidationError("event_ids length must match times")
+            event_ids = np.arange(t.shape[0])
         try:
-            id_array = np.array(ids, dtype=np.int64)
+            ids = np.array(event_ids, dtype=np.int64)
         except OverflowError:
             raise ValidationError("event ids must fit in 64 bits") from None
+        if ids.shape != t.shape:
+            raise ValidationError("event_ids length must match times")
         # rows sorted by id (stable, so a repeated id lists its rows in order)
-        by_id = np.argsort(id_array, kind="stable")
-        repeat = by_id[1:][id_array[by_id[1:]] == id_array[by_id[:-1]]]
+        by_id = np.argsort(ids, kind="stable")
+        repeat = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
         if repeat.size:
             row = int(repeat.min())
             raise _RowError(f"duplicate event id {ids[row]}", row)
         t = t.copy()
         w = w.copy()
-        for a in (t, w, id_array, by_id):
+        for a in (t, w, ids, by_id):
             a.setflags(write=False)
         self.times = t
         self.weights = w
         self.event_ids = ids
-        self._ids = id_array
         self._by_id = by_id
 
     @property
@@ -166,13 +164,13 @@ class EventTrace:
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Rows of an int64 array of event ids; `index_of` over an array."""
         m = self.n_events
-        pos = np.searchsorted(self._ids, ids, sorter=self._by_id)
+        pos = np.searchsorted(self.event_ids, ids, sorter=self._by_id)
         if m:
             # an id above every known one lands past the end: clip it to the
             # last position, whose id then differs from it
             rows = self._by_id[np.minimum(pos, m - 1, out=pos)]
             # the ids at those rows, written over pos
-            bad = np.take(self._ids, rows, out=pos, mode="clip") != ids
+            bad = np.take(self.event_ids, rows, out=pos, mode="clip") != ids
         else:
             rows, bad = pos, np.ones(pos.shape, dtype=bool)
         if bad.any():
@@ -180,17 +178,13 @@ class EventTrace:
             raise ValidationError(f"unknown event id {bad_id!r}")
         return rows
 
-    def ids_of(self, rows: np.ndarray) -> np.ndarray:
-        """Event ids of an array of rows."""
-        return self._ids[rows]
-
     def check_k_feasible(self, k: int) -> None:
         """Every event must be observed (w > 0) by at least k systems."""
         check_k(k, self.n_systems)
         counts = np.count_nonzero(self.weights > 0, axis=1)
         bad = np.nonzero(counts < k)[0]
         if bad.size:
-            names = [self.event_ids[int(b)] for b in bad[:5]]
+            names = self.event_ids[bad[:5]].tolist()
             raise ValidationError(
                 f"trace is not {k}-feasible: events {names} have fewer than "
                 f"{k} observers"
@@ -215,7 +209,7 @@ class EventTrace:
         if not isinstance(other, EventTrace):
             return NotImplemented
         return (
-            self.event_ids == other.event_ids
+            np.array_equal(self.event_ids, other.event_ids)
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.weights, other.weights)
         )
@@ -580,7 +574,7 @@ def evaluate(
     gammas[delivered] = times[kth]
 
     if not delivered.all():
-        ids = [trace.event_ids[r] for r in np.flatnonzero(~delivered)]
+        ids = trace.event_ids[~delivered].tolist()
         more = f" and {len(ids) - 5} more" if len(ids) > 5 else ""
         raise ValidationError(
             f"schedule never delivers events {ids[:5]}{more}"

@@ -523,11 +523,11 @@ class _Engine:
         return self._schedule()
 
     def _schedule(self) -> ReportSchedule:
-        ids_of = self.trace.ids_of
+        ids = self.trace.event_ids
         pairs = [
             (
                 np.repeat(np.arange(len(lens)), lens),
-                ids_of(np.array(rows, dtype=np.int64)),
+                ids[np.array(rows, dtype=np.int64)],
             )
             for rows, lens in (
                 (self.orig_rows, self.orig_len),
@@ -749,7 +749,7 @@ def run_thb(
             count[lo:hi] = np.bincount(system, minlength=hi - lo)
             times.append(fired)
             reports.append(report + n_reports)
-            carried.append(trace.ids_of(rows))
+            carried.append(trace.event_ids[rows])
             n_reports += fired.size
     # join one column at a time, dropping its pieces before the next
     columns = []

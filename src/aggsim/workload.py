@@ -11,15 +11,12 @@ single-observer instance; `perturb` randomly rescales positive weights.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import EventTrace, ValidationError, check_k
-
-log = logging.getLogger(__name__)
 
 _JITTER_LO = 1e-10
 _JITTER_HI = 1e-9
@@ -124,7 +121,6 @@ def repair_k_feasibility(
             raise ValidationError(
                 f"could not redraw a {k}-feasible row (high={high})"
             )
-        log.debug("redrew event row %d for %d-feasibility", row, k)
 
 
 def gen_trace(spec: WorkloadSpec, ensure_k: int | None = None) -> EventTrace:

@@ -138,7 +138,8 @@ def loop_evaluate(
 
     comm = 0.0
     # Delivery times: k-th smallest of the observers' first report times.
-    hit_times: dict[int, dict[int, float]] = {e: {} for e in trace.event_ids}
+    ids = trace.event_ids.tolist()
+    hit_times: dict[int, dict[int, float]] = {e: {} for e in ids}
     for i, reports in enumerate(schedule.per_system):
         for rep in reports:
             total_w = 0.0
@@ -150,7 +151,7 @@ def loop_evaluate(
 
     gammas = np.empty(trace.n_events, dtype=np.float64)
     undelivered: list[int] = []
-    for pos, j in enumerate(trace.event_ids):
+    for pos, j in enumerate(ids):
         times = sorted(hit_times[j].values())
         if len(times) < k:
             undelivered.append(j)
@@ -386,7 +387,7 @@ def scan_thb(
         reports.append(
             np.repeat(np.arange(n_reports, n_reports + len(fired)), np.diff(cuts))
         )
-        carried.append(trace.ids_of(rows[: cuts[-1]]))
+        carried.append(trace.event_ids[rows[: cuts[-1]]])
         n_reports += len(fired)
     # join one column at a time, dropping its pieces before the next
     columns = []
@@ -832,11 +833,11 @@ class _ReferenceEngine:
         return self._schedule()
 
     def _schedule(self) -> ReportSchedule:
-        ids_of = self.trace.ids_of
+        ids = self.trace.event_ids
         pairs = [
             (
                 np.repeat(np.arange(len(lens)), lens),
-                ids_of(np.array(rows, dtype=np.int64)),
+                ids[np.array(rows, dtype=np.int64)],
             )
             for rows, lens in (
                 (self.orig_rows, self.orig_len),

@@ -165,26 +165,18 @@ def test_run_default_theta_is_the_bound_formula(capsys, two_event_csv):
     assert f"theta={repr(threshold_none(1, 1, 1.0, 0.5))}" in out
 
 
-@pytest.mark.parametrize("alpha", ["nan", "2"])
-def test_run_alpha_only_without_theta(capsys, two_event_csv, alpha):
-    # --alpha only sets the default threshold, so --theta leaves it unused
+@pytest.mark.parametrize(
+    "theta", [(), ("--theta", "0.5")], ids=["default", "theta"]
+)
+def test_run_has_no_alpha_option(capsys, two_event_csv, theta):
+    # run's default threshold is at alpha 1; `aggsim theta --alpha` prints
+    # the threshold for another alpha, to pass as --theta
     code, out, err = run_cli(
-        capsys, "run", "--alg", "thb", "--trace", two_event_csv,
-        "--theta", "0.5", "--alpha", alpha,
+        capsys, "run", "--alg", "thb", "--trace", two_event_csv, *theta,
+        "--alpha", "2",
     )
     assert code == 1 and out == ""
-    assert err == "error: --alpha applies only without --theta\n"
-
-
-@pytest.mark.parametrize("alg", ["thb", "itc"])
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
-def test_run_rejects_non_finite_alpha(capsys, two_event_csv, alg, alpha):
-    code, out, err = run_cli(
-        capsys, "run", "--alg", alg, "--trace", two_event_csv, "--rho", "0.5",
-        "--alpha", alpha,
-    )
-    assert code == 1 and out == ""
-    assert "alpha must be >= 1" in err and "theta" not in err
+    assert "error: unrecognized arguments: --alpha 2" in err
 
 
 def test_run_default_theta_for_itc_and_net(capsys, tmp_path):

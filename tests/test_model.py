@@ -98,8 +98,8 @@ def test_trace_k_feasibility():
 def test_trace_split_keeps_absolute_times():
     tr = make_trace([1.0, 2.0, 4.0], [[1.0], [2.0], [3.0]], ids=[10, 11, 12])
     left, right = tr.split_at(2)
-    assert left.event_ids == (10, 11)
-    assert right.event_ids == (12,)
+    assert left.event_ids.tolist() == [10, 11]
+    assert right.event_ids.tolist() == [12]
     assert float(right.times[0]) == 4.0
     whole = make_trace([1.0, 2.0, 4.0], [[1.0], [2.0], [3.0]], ids=[10, 11, 12])
     assert left.n_events + right.n_events == whole.n_events
@@ -114,6 +114,14 @@ def test_trace_csv_round_trip(tmp_path):
     tr.to_csv(str(path))
     back = EventTrace.from_csv(str(path))
     assert back == tr  # bit-exact via repr round trip
+    # ids stay one read-only int64 column through the file and a split
+    left, right = back.split_at(5)
+    for t in (tr, back, left, right):
+        assert t.event_ids.dtype == np.int64
+        assert not t.event_ids.flags.writeable
+    assert left.event_ids.tolist() + right.event_ids.tolist() == list(
+        range(100, 112)
+    )
     header = path.read_text().splitlines()[0]
     assert header == "event_id,time,w_1,w_2,w_3,w_4"
 
