@@ -232,9 +232,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     rows = run_scenario(cfg, workers=args.workers)
     write_results(args.out, rows, timing=args.timing)
-    summary_path = (
-        args.out[: -len(".csv")] if args.out.endswith(".csv") else args.out
-    ) + ".summary.csv"
+    summary_path = args.out.removesuffix(".csv") + ".summary.csv"
     write_summary(summary_path, aggregate(rows))
     errors = sum(1 for r in rows if r.error is not None)
     print(f"wrote {len(rows)} rows to {args.out} ({errors} errors)")

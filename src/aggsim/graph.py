@@ -12,7 +12,6 @@ intercommunication (x=1) and none (x=N).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Sequence
 
@@ -78,9 +77,7 @@ class CommGraph:
         for a, b in sorted(norm):
             adj[a].append(b)
             adj[b].append(a)
-        object.__setattr__(
-            self, "_adj", tuple(tuple(sorted(x)) for x in adj)
-        )
+        object.__setattr__(self, "_adj", tuple(tuple(x) for x in adj))
 
     @classmethod
     def complete(cls, n: int) -> "CommGraph":
@@ -214,10 +211,11 @@ class CommGraph:
 def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
     """Random connected unit-disk graph with a prescribed average degree.
 
-    Scatters n points uniformly in the unit square, binary-searches the
-    connection radius until the realized average degree is within 1 of the
-    target, and resamples the points (bounded retries) until the result is
-    connected. Deterministic per seed.
+    Scatters n points uniformly in the unit square and takes as connection
+    radius the k-th smallest pair distance, k the fewest pairs whose
+    average degree 2k/n reaches the target; the points are resampled
+    (bounded retries) until that degree is within 1 of the target and the
+    graph is connected. Deterministic per seed.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
@@ -225,28 +223,26 @@ def gen_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
         raise ValidationError(
             f"target average degree {target_avg_degree} must lie in [0, {n})"
         )
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
+    ii, jj = np.triu_indices(n, 1)
+    pairs = ii.size
+    k = min(
+        int(np.searchsorted(2 * np.arange(pairs + 1) / n, target_avg_degree)),
+        pairs,
+    )
 
     for _ in range(60):
         pts = rng.uniform(size=(n, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        lo, hi = 0.0, math.sqrt(2.0)
-        radius = hi
-        for _ in range(80):
-            radius = 0.5 * (lo + hi)
-            within = dist <= radius
-            deg = (within.sum() - n) / n  # exclude self-pairs
-            if deg < target_avg_degree:
-                lo = radius
-            else:
-                hi = radius
-        within = dist <= hi
-        avg = (within.sum() - n) / n
+        dist = np.sqrt(((pts[ii] - pts[jj]) ** 2).sum(axis=1))
+        radius = np.partition(dist, k - 1)[k - 1] if k else 0.0
+        within = dist <= radius
+        avg = 2 * within.sum() / n
         if abs(avg - target_avg_degree) > 1.0:
             continue
-        ii, jj = np.nonzero(np.triu(within, k=1))
-        g = CommGraph(n, frozenset(zip(ii.tolist(), jj.tolist())))
+        edges = zip(ii[within].tolist(), jj[within].tolist())
+        g = CommGraph(n, frozenset(edges))
         if g.is_connected():
             return g
     raise GenerationError(

@@ -93,9 +93,9 @@ class ScenarioConfig:
             raise ConfigError("ADV2 replay runs without intercommunication")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("n_values", "k_values", "rho_values", "theta_values"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be non-empty")
+        for key in ("N", "K", "rho", "theta"):
+            if not getattr(self, _CONFIG_KEYS[key]):
+                raise ConfigError(f"{key} must be non-empty")
         if any(not _is_int(n) or n < 1 for n in self.n_values):
             raise ConfigError("N values must be integers >= 1")
         if any(not _is_int(k) or k < 1 for k in self.k_values):
@@ -416,16 +416,6 @@ def aggregate(rows: list[ResultRow]) -> list[SummaryRow]:
 
 # CSV emission: repr() for floats so repeated sweeps are byte-identical.
 
-RESULT_COLUMNS = (
-    "scenario_code,mode,N,K,rho,theta,seed,alg_cost,oracle_value,ratio,"
-    "wall_time,alpha,error"
-)
-SUMMARY_COLUMNS = (
-    "scenario_code,mode,N,K,rho,theta,mean_ratio,stddev_ratio,min_ratio,"
-    "max_ratio,count"
-)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -434,26 +424,25 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _to_csv(columns: str, rows: list, blank: str | None = None) -> str:
-    """One line per dataclass row, its fields in declaration order; the
-    field named `blank` is left empty."""
-    lines = [columns]
+def _to_csv(row_type: type, rows: list, blank: str | None = None) -> str:
+    """A header of `row_type`'s field names (`n` and `k` as `N` and `K`),
+    then one line per row, its fields in declaration order; the field
+    named `blank` is left empty."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(c.upper() if c in ("n", "k") else c for c in names)]
     for r in rows:
         lines.append(
-            ",".join(
-                "" if f.name == blank else _cell(getattr(r, f.name))
-                for f in fields(r)
-            )
+            ",".join("" if c == blank else _cell(getattr(r, c)) for c in names)
         )
     return "\n".join(lines) + "\n"
 
 
 def rows_to_csv(rows: list[ResultRow], timing: bool = False) -> str:
-    return _to_csv(RESULT_COLUMNS, rows, None if timing else "wall_time")
+    return _to_csv(ResultRow, rows, None if timing else "wall_time")
 
 
 def summary_to_csv(summaries: list[SummaryRow]) -> str:
-    return _to_csv(SUMMARY_COLUMNS, summaries)
+    return _to_csv(SummaryRow, summaries)
 
 
 def write_results(path: str, rows: list[ResultRow], timing: bool = False) -> None:

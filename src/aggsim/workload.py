@@ -104,6 +104,8 @@ class WorkloadSpec:
             raise ValidationError("n_events must be >= 1")
         if self.n_systems < 1:
             raise ValidationError("n_systems must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def repair_k_feasibility(

@@ -7,6 +7,8 @@ beyond the public data types and the scalar cost callables, so agreement
 between the two routes is meaningful. `loop_evaluate` is the evaluator as a
 loop over `Report` objects; the columnar `evaluate` must match it bit for
 bit.
+`bisect_udg` is `gen_udg` finding its radius by bisection, as it did
+before taking the k-th smallest pair distance.
 `greedy_x_on_all_nodes` is `compute_x` with the greedy set taken over
 every node of a graph with the covered nodes isolated.
 Three references keep the library's own code paths instead: `full_scan_net`
@@ -34,7 +36,7 @@ import math
 
 import numpy as np
 
-from aggsim.graph import CommGraph, Role, greedy_mis
+from aggsim.graph import CommGraph, GenerationError, Role, greedy_mis
 from aggsim.model import (
     CommCost,
     CostBreakdown,
@@ -444,6 +446,50 @@ def crossing_time_bisect(
         if hi - lo <= tol:
             break
     return hi
+
+
+def bisect_udg(n: int, target_avg_degree: float, seed: int) -> CommGraph:
+    """Random connected unit-disk graph with a prescribed average degree.
+
+    Scatters n points uniformly in the unit square, binary-searches the
+    connection radius until the realized average degree is within 1 of the
+    target, and resamples the points (bounded retries) until the result is
+    connected. Deterministic per seed.
+    """
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    if not 0 <= target_avg_degree < n:
+        raise ValidationError(
+            f"target average degree {target_avg_degree} must lie in [0, {n})"
+        )
+    rng = np.random.default_rng(seed)
+
+    for _ in range(60):
+        pts = rng.uniform(size=(n, 2))
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        lo, hi = 0.0, math.sqrt(2.0)
+        radius = hi
+        for _ in range(80):
+            radius = 0.5 * (lo + hi)
+            within = dist <= radius
+            deg = (within.sum() - n) / n  # exclude self-pairs
+            if deg < target_avg_degree:
+                lo = radius
+            else:
+                hi = radius
+        within = dist <= hi
+        avg = (within.sum() - n) / n
+        if abs(avg - target_avg_degree) > 1.0:
+            continue
+        ii, jj = np.nonzero(np.triu(within, k=1))
+        g = CommGraph(n, frozenset(zip(ii.tolist(), jj.tolist())))
+        if g.is_connected():
+            return g
+    raise GenerationError(
+        f"no connected unit-disk graph with avg degree ~{target_avg_degree} "
+        f"found for n={n} after 60 attempts"
+    )
 
 
 def _edge_set(n: int, edges) -> set:

@@ -453,6 +453,25 @@ def test_gen_trace_rejects_bad_spec(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-trace", "--events", "10", "--systems", "3"],
+        ["gen-graph", "--nodes", "10", "--avg-degree", "3"],
+    ],
+    ids=["gen-trace", "gen-graph"],
+)
+def test_negative_seed_exits_one(capsys, tmp_path, argv):
+    # numpy's generators reject a negative seed with a ValueError; the
+    # command names the option instead of raising it
+    p = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1", "--out", str(p))
+    assert code == 1 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert "Traceback" not in err
+    assert not p.exists()
+
+
 def test_gen_graph(capsys, tmp_path):
     p = tmp_path / "g.txt"
     code, out, _ = run_cli(

@@ -167,6 +167,42 @@ def test_udg_rejects_infeasible_target():
         gen_udg(10, 10.0, seed=0)
 
 
+@st.composite
+def udg_targets(draw):
+    """A node count and target degrees: 0, a fraction of n, n - 1, and the
+    degree 2c/n of c edges with its two neighbouring floats, where the
+    radius rule changes its edge count."""
+    n = draw(st.integers(1, 40))
+    exact = 2 * draw(st.integers(0, n * (n - 1) // 2)) / n
+    targets = [
+        0.0,
+        n * draw(st.sampled_from([0.05, 0.25, 0.5, 0.8, 0.95])),
+        n - 1.0,
+        exact,
+        float(np.nextafter(exact, -np.inf)),
+        float(np.nextafter(exact, np.inf)),
+    ]
+    return n, [t for t in targets if 0 <= t < n]
+
+
+def _udg_or_failure(gen, n, target, seed):
+    try:
+        return gen(n, target, seed)
+    except GenerationError:
+        return GenerationError
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(udg_targets(), st.integers(0, 2**32 - 1))
+def test_udg_radius_matches_the_bisection(case, seed):
+    # the k-th smallest pair distance is the radius the bisection found
+    n, targets = case
+    for target in targets:
+        assert _udg_or_failure(gen_udg, n, target, seed) == _udg_or_failure(
+            oracles.bisect_udg, n, target, seed
+        ), target
+
+
 # ------------------------------------------------------------- greedy sets
 
 

@@ -3,6 +3,7 @@ emission."""
 
 from __future__ import annotations
 
+import json
 import os
 import statistics
 from dataclasses import replace
@@ -111,6 +112,12 @@ def test_parse_config_errors():
     ):
         with pytest.raises(ConfigError, match="integer"):
             small_cfg(**bad)
+    # an empty list names the key the config wrote
+    base = {"scenario": "SPU", "mode": "none", "N": [4], "K": [1], "rho": [0.5]}
+    for key in ("N", "K", "rho", "theta"):
+        with pytest.raises(ConfigError) as e:
+            parse_config(json.dumps({**base, key: []}))
+        assert str(e.value) == f"{key} must be non-empty"
     with pytest.raises(ConfigError, match="N values must be integers"):
         parse_config(
             '{"scenario": "SPU", "mode": "none", "N": [2.5], "K": [1],'

@@ -23,7 +23,7 @@ from aggsim.graph import (
     greedy_mis,
 )
 from aggsim import online
-from aggsim.harness import _alpha_for
+from aggsim.harness import _alpha_for, _seed_pair, build_graph
 from aggsim.model import (
     CommCost,
     EventTrace,
@@ -35,6 +35,8 @@ from aggsim.model import (
 )
 from aggsim.offline import offline_lb
 from aggsim.workload import (
+    BigEvents,
+    ConstantArrivals,
     PoissonArrivals,
     SmallEvents,
     WorkloadSpec,
@@ -45,6 +47,7 @@ from aggsim.online import (
     ThresholdPolicy,
     _Engine,
     balance_root,
+    default_theta,
     ratio_full,
     ratio_none,
     ratio_partial,
@@ -1309,6 +1312,53 @@ def test_ratio_bounds_against_oracle_k1():
             tr, k, rho, UnityCost(),
         ).total
         assert cost / lb <= ratio_partial(n, k, 1.0, x) + 1e-6
+
+
+def _net_ratio_and_bound(trace, graph, k, rho=0.5):
+    """`run_net`'s ratio at `default_theta`'s theta, unity cost, x from
+    `compute_x`, and the `ratio_partial` it is meant to stay under."""
+    n, x = graph.n, compute_x(graph)
+    pol = ThresholdPolicy(default_theta(n, k, 1.0, rho, x))
+    cost = evaluate(
+        run_net(trace, pol, k, UnityCost(), graph), trace, k, rho, UnityCost()
+    ).total
+    lb = offline_lb(trace, k, rho, UnityCost()).value
+    return cost / lb, ratio_partial(n, k, 1.0, x)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="run_net exceeds ratio_partial at K >= 2 (ROADMAP item 10)",
+)
+def test_net_partial_bound_at_k3_on_a_sweep_instance():
+    # the BPU sweep unit (seed 0, point 0, rep 1) at N=60, UDG degree 6,
+    # MIS roles: x=16 and the ratio reads 12.31 against a bound of 8.14
+    trace_seed, graph_seed = _seed_pair(0, 0, 1)
+    trace = gen_trace(
+        WorkloadSpec(PoissonArrivals(), BigEvents(), 300, 60, trace_seed),
+        ensure_k=3,
+    )
+    graph = build_graph(60, 6.0, graph_seed, "mis")
+    ratio, bound = _net_ratio_and_bound(trace, graph, 3)
+    assert ratio <= bound
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="run_net exceeds ratio_partial with CDS roles at K=1 (ROADMAP item 6)",
+)
+def test_net_partial_bound_at_k1_with_cds_roles():
+    # node 5 forwards and is adjacent to all, so x=1; the ratio reads
+    # 4.035 against a bound of 3.449
+    trace = gen_trace(
+        WorkloadSpec(ConstantArrivals(), BigEvents(), 60, 6, 1089654687),
+        ensure_k=1,
+    )
+    graph = build_graph(6, 3.0, 2467522302, "cds")
+    ratio, bound = _net_ratio_and_bound(trace, graph, 1)
+    assert ratio <= bound
 
 
 def test_k2_per_trace_ratio_is_unbounded():
