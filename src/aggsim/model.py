@@ -81,7 +81,9 @@ class EventTrace:
     Weights are stored as a read-only float64 array with one row per event and
     one column per system, and event ids as a read-only int64 array (0..m-1
     unless given). Times must be strictly increasing and nonnegative,
-    weights nonnegative and finite, and ids distinct.
+    weights nonnegative and finite, and ids distinct. Ids 0..m-1, in that
+    order, are their own rows: `rows_of` range-checks them and searches
+    nothing.
     """
 
     __slots__ = ("times", "weights", "event_ids", "_by_id")
@@ -148,7 +150,9 @@ class EventTrace:
         self.times = t
         self.weights = w
         self.event_ids = ids
-        self._by_id = by_id
+        # None when the ids are 0..m-1: each id is then its own row
+        identity = np.array_equal(ids, np.arange(ids.size))
+        self._by_id = None if identity else by_id
 
     @property
     def n_events(self) -> int:
@@ -162,17 +166,20 @@ class EventTrace:
         return int(self.rows_of(np.array([event_id], dtype=np.int64))[0])
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """Rows of an int64 array of event ids; `index_of` over an array."""
+        """Rows of an int64 array of event ids, as a new intp array;
+        `index_of` over an array."""
         m = self.n_events
-        pos = np.searchsorted(self.event_ids, ids, sorter=self._by_id)
-        if m:
-            # an id above every known one lands past the end: clip it to the
-            # last position, whose id then differs from it
+        if self._by_id is None:
+            bad = (ids < 0) | (ids >= m)
+            rows = ids.astype(np.intp)
+        else:
+            # m > 0 here, since the empty trace has identity ids. An id
+            # above every known one lands past the end: clip it to the last
+            # position, whose id then differs from it
+            pos = np.searchsorted(self.event_ids, ids, sorter=self._by_id)
             rows = self._by_id[np.minimum(pos, m - 1, out=pos)]
             # the ids at those rows, written over pos
             bad = np.take(self.event_ids, rows, out=pos, mode="clip") != ids
-        else:
-            rows, bad = pos, np.ones(pos.shape, dtype=bool)
         if bad.any():
             bad_id = int(ids[np.argmax(bad)])
             raise ValidationError(f"unknown event id {bad_id!r}")
@@ -537,10 +544,19 @@ def evaluate(
 
     Report cost sums cost_fn over each report's own originated measurements.
     Latency charges every observation (i, j) its weight times the time from
-    the event to j's delivery: the K-th smallest of the earliest times at
-    which distinct observers originated j, regardless of when system i
-    itself reported it. Raises ValidationError naming the events that
-    fewer than K observers reported.
+    the event to j's delivery, regardless of when system i itself reported
+    it. Delivery is found by selection, not by a sort: each system's
+    earliest report of j is written into an (N, m) hit matrix of inf at
+    (system, j), and j's delivery is the K-th smallest of its column. A
+    column whose K-th smallest is inf has fewer than K observers that
+    reported it (`validate` rejects non-finite report times); a
+    ValidationError names those events.
+
+    Beyond its inputs, `evaluate` allocates at most about the size of
+    `trace.weights` (the hit matrix) plus 1.5 times the bytes of the
+    schedule's columns. On the dense traces that sweeps generate, the
+    columns dwarf the hit matrix, so the peak is proportional to the
+    schedule.
     """
     check_rho(rho)
     check_k(k, trace.n_systems)
@@ -553,25 +569,26 @@ def evaluate(
     comm = float(np.cumsum(costs, out=costs)[-1]) if n_reports else 0.0
     del costs, w  # spent: free them before the pair times are gathered
 
-    # Delivery: one hit per (row, system), at the system's earliest report
-    # of the row. Pairs are in (system, time) order, so (system, row) keys
-    # rise strictly unless a system reports a row twice, and then the
-    # first pair of a key is that system's earliest. The keys are written
-    # over the pairs' systems and freed before the sort.
+    # Delivery: one hit per (system, row), at the system's earliest report
+    # of the row. The (system, row) key, written over the pairs' systems,
+    # is the pair's flat index in the hit matrix. Pairs are in (system,
+    # time) order, so keys rise strictly unless a system reports a row
+    # twice, and then the first pair of a key is that system's earliest;
+    # only one pair per key is written, since numpy does not say which of
+    # repeated indices a write keeps.
     times = schedule.time[schedule.orig_report]
     key *= m
     key += rows
+    del rows
     if (key[1:] <= key[:-1]).any():
-        first = np.zeros(key.size, dtype=bool)
-        first[np.unique(key, return_index=True)[1]] = True
-        rows, times = rows[first], times[first]
-    del key
-    hits = np.bincount(rows, minlength=m)
-    by_row = np.lexsort((times, rows))
-    delivered = hits >= k
-    gammas = np.full(m, math.inf)
-    kth = by_row[(np.cumsum(hits) - hits + (k - 1))[delivered]]
-    gammas[delivered] = times[kth]
+        first = np.unique(key, return_index=True)[1]
+        key, times = key[first], times[first]
+    hit = np.full((trace.n_systems, m), math.inf)
+    hit.ravel()[key] = times
+    del key, times  # spent: free the pair columns before the partition
+    hit.partition(k - 1, axis=0)
+    gammas = hit[k - 1]
+    delivered = gammas < math.inf
 
     if not delivered.all():
         ids = trace.event_ids[~delivered].tolist()

@@ -92,7 +92,14 @@ def threshold_none(n: int, k: int, alpha: float, rho: float) -> float:
 
 
 def ratio_none(n: int, k: int, alpha: float) -> float:
-    """Proven competitive ratio without intercommunication: alpha*N/K + 1."""
+    """Proven competitive ratio without intercommunication: alpha*N/K + 1.
+
+    At K=1 the bound covers any weights. At K>=2 it covers only traces
+    whose rows have equal nonzero weights: otherwise a light observer's
+    late report keeps a heavy observer's latency running until the K-th
+    delivery, and the per-trace ratio is unbounded
+    (`test_k2_per_trace_ratio_is_unbounded`).
+    """
     _check_params(n, k, alpha, None)
     return alpha * n / k + 1.0
 
@@ -120,7 +127,11 @@ def threshold_partial(
 
 
 def ratio_partial(n: int, k: int, alpha: float, x: float) -> float:
-    """Competitive ratio under partial intercommunication: phi_x + 1."""
+    """Competitive ratio under partial intercommunication: phi_x + 1.
+
+    Like `ratio_none`, it covers any weights at K=1 and only rows of equal
+    nonzero weights at K>=2.
+    """
     return balance_root(n, k, alpha, x) + 1.0
 
 
@@ -130,7 +141,11 @@ def threshold_full(n: int, k: int, alpha: float, rho: float) -> float:
 
 
 def ratio_full(n: int, k: int, alpha: float) -> float:
-    """Proven ratio under full intercommunication: the partial one at x=1."""
+    """Proven ratio under full intercommunication: the partial one at x=1.
+
+    Like `ratio_none`, it covers any weights at K=1 and only rows of equal
+    nonzero weights at K>=2.
+    """
     return ratio_partial(n, k, alpha, 1.0)
 
 

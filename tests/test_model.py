@@ -53,10 +53,44 @@ def test_rows_of_on_an_empty_trace():
         empty.rows_of(np.array([3, 4], dtype=np.int64))
 
 
+def test_rows_of_returns_a_new_intp_array():
+    # identity ids, searched ids and the empty trace: the result never
+    # shares the (read-only) ids it was given
+    for tr in (
+        make_trace([1.0, 2.0], [[1.0], [1.0]]),
+        make_trace([1.0, 2.0], [[1.0], [1.0]], ids=[5, 3]),
+        make_trace([], np.zeros((0, 2))),
+    ):
+        rows = tr.rows_of(tr.event_ids)
+        assert rows.dtype == np.intp and rows.flags.writeable
+        assert rows.tolist() == list(range(tr.n_events))
+        assert not np.shares_memory(rows, tr.event_ids)
+
+
+def test_rows_of_maps_permuted_small_ids_to_their_rows():
+    # ids from 0..m-1 out of order are not their own rows; [1, 0] equals
+    # its own argsort, so that equality is no test of identity
+    for ids in ([1, 0], [0, 2, 1]):
+        m = len(ids)
+        tr = make_trace(np.arange(1.0, m + 1), np.ones((m, 1)), ids=ids)
+        assert tr.rows_of(np.array(ids)).tolist() == list(range(m))
+        assert [tr.index_of(e) for e in ids] == list(range(m))
+
+
 def test_rows_of_names_the_first_unknown_id():
     tr = make_trace([1.0, 2.5, 4.0], [[1.0], [1.0], [1.0]], ids=[7, 9, 5])
     assert tr.rows_of(np.array([5, 9, 7, 5])).tolist() == [2, 1, 0, 2]
     for ids, bad in (([9, 10, 4], 10), ([4, 10], 4), ([7, 8], 8)):
+        with pytest.raises(ValidationError, match=f"unknown event id {bad}$"):
+            tr.rows_of(np.array(ids, dtype=np.int64))
+
+
+def test_rows_of_on_identity_ids_names_the_first_unknown_id():
+    tr = make_trace([1.0, 2.5, 4.0], [[1.0], [1.0], [1.0]])
+    assert tr.rows_of(np.array([2, 0, 1, 2])).tolist() == [2, 0, 1, 2]
+    for ids, bad in (
+        ([1, -1, 3], -1), ([0, 3, -1], 3), ([2, 2**62, 3], 2**62)
+    ):
         with pytest.raises(ValidationError, match=f"unknown event id {bad}$"):
             tr.rows_of(np.array(ids, dtype=np.int64))
 
@@ -737,6 +771,37 @@ def test_evaluate_matches_loop_evaluator_bit_for_bit():
             delivered += isinstance(mine, CostBreakdown)
     # both branches are exercised
     assert 0 < delivered < 300 * len(COST_VARIANTS)
+
+
+def test_evaluate_matches_loop_evaluator_bit_for_bit_on_identity_ids():
+    # the comparison above on traces whose ids are their own rows, at every
+    # K, on schedules in which some system reports a row again (each
+    # system's hit is then its earliest report of the row)
+    rng = np.random.default_rng(67)
+    delivered = undelivered = repeated = 0
+    for _ in range(150):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 5))
+        weights = rng.uniform(0.0, 3.0, size=(m, n))
+        weights[rng.uniform(size=(m, n)) < 0.5] = 0.0  # sparse
+        start = float(rng.choice([0.0, 1e6 + 0.123]))
+        times = start + np.cumsum(rng.uniform(0.05, 1.5, size=m))
+        tr = EventTrace(times, weights)
+        sched = random_schedule(rng, tr)
+        pairs = sched.system[sched.orig_report] * m + sched.orig_id
+        repeated += np.unique(pairs).size < pairs.size
+        rho = float(rng.uniform(0.1, 0.9))
+        for k in range(1, n + 1):
+            for cost in COST_VARIANTS:
+                mine = _outcome(evaluate, sched, tr, k, rho, cost)
+                ref = _outcome(oracles.loop_evaluate, sched, tr, k, rho, cost)
+                assert mine == ref
+                if isinstance(mine, CostBreakdown):
+                    delivered += 1
+                else:
+                    assert mine.startswith("schedule never delivers events")
+                    undelivered += 1
+    assert delivered and undelivered and repeated
 
 
 def test_evaluate_permutation_symmetry():

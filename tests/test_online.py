@@ -541,6 +541,22 @@ THB_PEAK_PER_COLUMN_BYTE = 1.5
 EVALUATE_PEAK_PER_COLUMN_BYTE = 1.5
 
 
+def _traced_peak(fn, *args):
+    """fn(*args), and the traced allocation peak of the call above what
+    was traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _column_bytes(sched):
+    return sum(getattr(sched, name).nbytes for name in sched.__slots__[1:])
+
+
 def _check_report_path_peaks(cost, alpha):
     """run_thb and evaluate at the indep sweep's largest point (N=100,
     m=2000, K=3) with the given cost and alpha: over 100k reports, and
@@ -550,22 +566,10 @@ def _check_report_path_peaks(cost, alpha):
         WorkloadSpec(PoissonArrivals(), SmallEvents(), 2000, n, 0), ensure_k=k
     )
     pol = ThresholdPolicy(threshold_none(n, k, alpha, 0.5))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        sched = run_thb(tr, pol, k, cost)
-        thb_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = evaluate(sched, tr, k, 0.5, cost)
-        evaluate_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    sched, thb_peak = _traced_peak(run_thb, tr, pol, k, cost)
+    out, evaluate_peak = _traced_peak(evaluate, sched, tr, k, 0.5, cost)
     assert math.isfinite(out.total) and sched.total_reports() > 100_000
-    column_bytes = sum(
-        getattr(sched, name).nbytes for name in sched.__slots__[1:]
-    )
+    column_bytes = _column_bytes(sched)
     assert thb_peak <= THB_PEAK_PER_COLUMN_BYTE * column_bytes
     assert evaluate_peak <= EVALUATE_PEAK_PER_COLUMN_BYTE * column_bytes
 
@@ -580,6 +584,34 @@ def test_log_cost_report_path_allocates_in_proportion_to_its_output():
     # scored in bounded chunks (evaluate's peak was about 3.0 column bytes
     # when all were scored at once)
     _check_report_path_peaks(LogCost(), _alpha_for("SPL", 100, 2000))
+
+
+def test_evaluate_on_sparse_traces_allocates_within_its_hit_matrix():
+    # with 2-5% of cells observed, evaluate's (N, m) hit matrix, the size of
+    # the trace's weights, outweighs the schedule's columns; beyond it the
+    # peak stays within the dense bound on column bytes
+    n, m = 100, 2000
+    rng = np.random.default_rng(11)
+    for density in (0.02, 0.05):
+        for k in (1, 2):
+            observed = rng.uniform(size=(m, n)) < density
+            # k distinct observers at least on every row
+            some = np.argsort(rng.uniform(size=(m, n)), axis=1)[:, :k]
+            observed[np.arange(m)[:, None], some] = True
+            weights = np.where(observed, rng.uniform(0.1, 1.0, (m, n)), 0.0)
+            tr = EventTrace(np.cumsum(rng.uniform(0.05, 1.5, m)), weights)
+            pol = ThresholdPolicy(threshold_none(n, k, 1.0, 0.5))
+            sched = run_thb(tr, pol, k, UnityCost())
+            out, peak = _traced_peak(
+                evaluate, sched, tr, k, 0.5, UnityCost()
+            )
+            assert math.isfinite(out.total)
+            column_bytes = _column_bytes(sched)
+            assert column_bytes < tr.weights.nbytes
+            assert peak <= (
+                tr.weights.nbytes
+                + EVALUATE_PEAK_PER_COLUMN_BYTE * column_bytes
+            )
 
 
 def test_same_instant_cascade_after_removal():
