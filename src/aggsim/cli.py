@@ -15,8 +15,8 @@ import numpy as np
 
 from .graph import CommGraph, GenerationError, compute_x
 from .harness import (
-    aggregate, build_graph, load_config, run_scenario, write_results,
-    write_summary,
+    aggregate, build_graph, load_config, network_x, run_online, run_scenario,
+    write_results, write_summary,
 )
 from .model import (
     EventTrace,
@@ -31,9 +31,6 @@ from .online import (
     default_theta,
     ratio_none,
     ratio_partial,
-    run_itc,
-    run_net,
-    run_thb,
     ThresholdPolicy,
 )
 from .workload import (
@@ -184,7 +181,8 @@ def _cmd_run(args) -> int:
     trace = EventTrace.from_csv(args.trace)
     cost_fn = parse_cost(args.cost)
     n = trace.n_systems
-    graph = x = None
+    mode = {"thb": "none", "itc": "full", "net": "partial"}[args.alg]
+    graph = None
     if args.alg == "net":
         if args.graph is None:
             raise ValidationError("--alg net requires --graph")
@@ -193,21 +191,12 @@ def _cmd_run(args) -> int:
             raise ValidationError(
                 f"graph has {graph.n} nodes but the trace has {n} systems"
             )
-        x = compute_x(graph)
     elif args.graph is not None:
         raise ValidationError("--graph applies only to --alg net")
-    elif args.alg == "itc":
-        x = 1
     theta = args.theta
     if theta is None:
-        theta = default_theta(n, args.K, 1.0, args.rho, x)
-    policy = ThresholdPolicy(theta)
-    if args.alg == "thb":
-        sched = run_thb(trace, policy, args.K, cost_fn)
-    elif args.alg == "itc":
-        sched = run_itc(trace, policy, args.K, cost_fn)
-    else:
-        sched = run_net(trace, policy, args.K, cost_fn, graph)
+        theta = default_theta(n, args.K, 1.0, args.rho, network_x(mode, graph))
+    sched = run_online(mode, trace, ThresholdPolicy(theta), args.K, cost_fn, graph)
     out = evaluate(sched, trace, args.K, args.rho, cost_fn)
     print(f"theta={repr(theta)}")
     print(f"reports={sched.total_reports()}")
@@ -245,7 +234,7 @@ def _cmd_theta(args) -> int:
         raise ValidationError("--x applies only to --mode partial")
     if args.mode == "partial" and args.x is None:
         raise ValidationError("--mode partial requires --x")
-    x = {"none": None, "full": 1.0}.get(args.mode, args.x)
+    x = args.x if args.mode == "partial" else network_x(args.mode, None)
     theta = default_theta(args.N, args.K, args.alpha, args.rho, x)
     if x is None:
         cr = ratio_none(args.N, args.K, args.alpha)

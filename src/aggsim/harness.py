@@ -25,7 +25,9 @@ from .graph import (
 )
 from .model import (
     CommCost,
+    EventTrace,
     LogCost,
+    ReportSchedule,
     UnityCost,
     ValidationError,
     evaluate,
@@ -236,6 +238,30 @@ def build_graph(n: int, avg_degree: float, seed: int, roles: str) -> CommGraph:
     )
 
 
+def network_x(mode: str, graph: CommGraph | None) -> int | None:
+    """The network parameter x that `default_theta` takes in a setting:
+    None without intercommunication ("none"), 1 with full ("full"), and
+    `compute_x` of the graph in any graph mode."""
+    if mode == "none":
+        return None
+    return 1 if mode == "full" else compute_x(graph)
+
+
+def run_online(
+    mode: str, trace: EventTrace, policy: ThresholdPolicy, k: int,
+    cost_fn: CommCost, graph: CommGraph | None = None,
+) -> ReportSchedule:
+    """The setting's online runner: `run_thb` for "none", `run_itc` for
+    "full" and `run_net` on the graph otherwise. The runners are looked up
+    in this module at call time, so a tracer that replaces them here sees
+    every call."""
+    if mode == "none":
+        return run_thb(trace, policy, k, cost_fn)
+    if mode == "full":
+        return run_itc(trace, policy, k, cost_fn)
+    return run_net(trace, policy, k, cost_fn, graph)
+
+
 def _run_rep(
     cfg: ScenarioConfig,
     point_idx: int,
@@ -249,12 +275,12 @@ def _run_rep(
     code = cfg.scenario_code
     alpha = _alpha_for(code, n, cfg.n_events)
 
+    graph = None
     if code == "ADV2":
         cost_fn: CommCost = UnityCost()
         trace = gen_thm6_instance(n, np.full(n, 1.0 / n), 1.0, 1e-6)
         trace = perturb(trace, cfg.perturb_pct, trace_seed)
-        theta = theta_override if theta_override is not None else 1.0 / n
-        graph = None
+        theta = 1.0 / n
     else:
         cost_fn = _COSTS[code[2]]()
         spec = WorkloadSpec(
@@ -265,27 +291,16 @@ def _run_rep(
             trace_seed,
         )
         trace = gen_trace(spec, ensure_k=k)
-        graph = x = None
         if cfg.mode in ("n1", "n2"):
             roles = "mis" if cfg.mode == "n1" else "cds"
             graph = build_graph(n, cfg.avg_degree, graph_seed, roles)
-            x = compute_x(graph)
-        elif cfg.mode == "full":
-            x = 1
-        theta = (
-            theta_override
-            if theta_override is not None
-            else default_theta(n, k, alpha, rho, x)
-        )
+        theta = default_theta(n, k, alpha, rho, network_x(cfg.mode, graph))
+    if theta_override is not None:
+        theta = theta_override
     policy = ThresholdPolicy(theta)
 
     t0 = time.perf_counter()
-    if cfg.mode == "none":
-        sched = run_thb(trace, policy, k, cost_fn)
-    elif cfg.mode == "full":
-        sched = run_itc(trace, policy, k, cost_fn)
-    else:
-        sched = run_net(trace, policy, k, cost_fn, graph)
+    sched = run_online(cfg.mode, trace, policy, k, cost_fn, graph)
     wall = time.perf_counter() - t0
 
     alg_cost = evaluate(sched, trace, k, rho, cost_fn).total

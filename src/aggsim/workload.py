@@ -62,6 +62,10 @@ class WeibullArrivals:
             raise ValidationError("shape must be positive")
         if not self.mean > 0:
             raise ValidationError("mean must be positive")
+        try:
+            self.scale
+        except OverflowError:  # gamma(1 + 1/shape) past the float range
+            raise ValidationError(f"shape {self.shape!r} is too small") from None
 
     @property
     def scale(self) -> float:
@@ -133,9 +137,11 @@ def gen_trace(spec: WorkloadSpec, ensure_k: int | None = None) -> EventTrace:
     """
     rng = np.random.default_rng(spec.seed)
     m, n = spec.n_events, spec.n_systems
-    gaps = spec.arrivals.draw(rng, m)
-    gaps = gaps + rng.uniform(_JITTER_LO, _JITTER_HI, size=m)
-    times = np.cumsum(gaps)
+    # huge gaps overflow to inf, which EventTrace rejects by row
+    with np.errstate(over="ignore"):
+        gaps = spec.arrivals.draw(rng, m)
+        gaps = gaps + rng.uniform(_JITTER_LO, _JITTER_HI, size=m)
+        times = np.cumsum(gaps)
     high = spec.magnitude.high(n)
     weights = rng.uniform(0.0, high, size=(m, n))
     if ensure_k is not None:

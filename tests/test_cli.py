@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from aggsim import cli
+from aggsim import cli, harness
 from aggsim.cli import _write_schedule_csv, main
 from aggsim.graph import CommGraph, Role, compute_x, gen_udg, greedy_mis
+from aggsim.harness import ScenarioConfig, _seed_pair, build_graph, run_scenario
 from aggsim.model import (
     EventTrace,
     LogCost,
@@ -32,6 +34,7 @@ from aggsim.workload import (
     BigEvents,
     ConstantArrivals,
     PoissonArrivals,
+    SmallEvents,
     WeibullArrivals,
     WorkloadSpec,
     gen_trace,
@@ -472,6 +475,35 @@ def test_negative_seed_exits_one(capsys, tmp_path, argv):
     assert not p.exists()
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (
+            ["--arrivals", "weibull", "--shape", "0.005"],
+            "error: shape 0.005 is too small\n",
+        ),
+        (
+            ["--arrivals", "constant", "--interval", "1e308"],
+            "error: event times must be finite and nonnegative (row 1)\n",
+        ),
+    ],
+    ids=["weibull-shape", "constant-interval"],
+)
+def test_gen_trace_overflow_exits_one(capsys, tmp_path, options, message):
+    # a Weibull scale past the float range and event times past it are
+    # input errors: one error line, no traceback and no numpy warning
+    p = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "gen-trace", *options, "--events", "10", "--systems", "3",
+            "--out", str(p),
+        )
+    assert code == 1 and out == ""
+    assert err == message
+    assert not p.exists()
+
+
 def test_gen_graph(capsys, tmp_path):
     p = tmp_path / "g.txt"
     code, out, _ = run_cli(
@@ -564,6 +596,60 @@ def test_sweep_timing_breaks_no_columns(capsys, tmp_path):
     )[0] == 0
     row = out.read_text().splitlines()[1].split(",")
     assert row[10] != ""
+
+
+@pytest.mark.parametrize("mode", ["none", "full", "n1", "n2"])
+def test_run_agrees_with_the_sweep_row(capsys, tmp_path, monkeypatch, mode):
+    # `aggsim run` on a repetition's own trace (and graph) takes the x and
+    # the runner the sweep took: the same theta and cost, bit for bit, by
+    # way of the same harness names
+    cfg = ScenarioConfig(
+        "SPU", mode, (12,), (1, 2), (0.3,), runs=2, n_events=60, seed=5,
+        avg_degree=4.0,
+    )
+    rows = run_scenario(cfg, workers=1)
+    runners = ("run_thb", "run_itc", "run_net")
+    calls = dict.fromkeys(runners, 0)
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in runners:
+        monkeypatch.setattr(harness, name, counting(name))
+    alg = {"none": "thb", "full": "itc"}.get(mode, "net")
+    for point_idx, (n, k, rho, _) in enumerate(cfg.points):
+        for rep in range(cfg.runs):
+            trace_seed, graph_seed = _seed_pair(cfg.seed, point_idx, rep)
+            (row,) = [r for r in rows if r.k == k and r.seed == trace_seed]
+            spec = WorkloadSpec(
+                PoissonArrivals(), SmallEvents(), cfg.n_events, n, trace_seed
+            )
+            trace_path = tmp_path / f"trace_{point_idx}_{rep}.csv"
+            gen_trace(spec, ensure_k=k).to_csv(trace_path)
+            argv = [
+                "run", "--alg", alg, "--trace", str(trace_path),
+                "--K", str(k), "--rho", str(rho),
+            ]
+            if mode in ("n1", "n2"):
+                roles = "mis" if mode == "n1" else "cds"
+                graph_path = tmp_path / f"graph_{point_idx}_{rep}.txt"
+                build_graph(n, cfg.avg_degree, graph_seed, roles).save(graph_path)
+                argv += ["--graph", str(graph_path)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert f"theta={row.theta!r}" in lines
+            assert f"total={row.alg_cost!r}" in lines
+    reps = len(cfg.points) * cfg.runs
+    assert calls == {
+        name: reps if name == "run_" + alg else 0 for name in runners
+    }
 
 
 def test_sweep_bad_config(capsys, tmp_path):

@@ -1393,6 +1393,36 @@ def test_net_partial_bound_at_k1_with_cds_roles():
     assert ratio <= bound
 
 
+@st.composite
+def equal_weight_instances(draw):
+    """A dense trace whose rows each give every system one weight, with
+    K from 2 to N and rho from the sweeps' values."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, n))
+    m = draw(st.integers(1, 12))
+    reals = st.floats(1e-3, 10.0)
+    gaps = draw(st.lists(reals, min_size=m, max_size=m))
+    row_weights = draw(st.lists(reals, min_size=m, max_size=m))
+    rho = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    weights = np.repeat(np.array(row_weights)[:, None], n, axis=1)
+    return EventTrace(np.cumsum(gaps), weights), k, rho
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(equal_weight_instances())
+def test_thb_ratio_none_holds_on_dense_equal_weight_rows(inst):
+    # ratio_none's K>=2 contract: on rows of equal weights run_thb at the
+    # default theta stays within the bound. Dense traces keep offline_lb
+    # exact at unity cost; on sparse ones its slack alone can read above
+    # the bound (up to x1.106 where the optimum reads 2.04 of 2.25)
+    tr, k, rho = inst
+    n, cost = tr.n_systems, UnityCost()
+    pol = ThresholdPolicy(default_theta(n, k, 1.0, rho, None))
+    total = evaluate(run_thb(tr, pol, k, cost), tr, k, rho, cost).total
+    lb = offline_lb(tr, k, rho, cost).value
+    assert total / lb <= ratio_none(n, k, 1.0) * (1 + 1e-12)
+
+
 def test_k2_per_trace_ratio_is_unbounded():
     # The K=1 per-trace guarantee does not carry over to K > 1: the K-th
     # covering report can come from a slow low-weight observer, so a

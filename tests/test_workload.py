@@ -92,6 +92,10 @@ def test_spec_validation():
         WorkloadSpec(PoissonArrivals(), BigEvents(), 0, 2, 0)
     with pytest.raises(ValidationError):
         WorkloadSpec(PoissonArrivals(), BigEvents(), 3, 0, 0)
+    # gamma(1 + 1/shape) overflows below a shape of about 0.00587
+    with pytest.raises(ValidationError, match="shape 0.005 is too small"):
+        WeibullArrivals(shape=0.005)
+    assert WeibullArrivals(shape=0.006).scale > 0
 
 
 def test_k_feasibility_repair():
