@@ -364,6 +364,15 @@ def run_scenario(
     point, repetition) alone; a point that cannot run is one unit giving
     its error row. Units are listed point-major and `pool.map` keeps that
     order, so the worker count never changes the result.
+
+    Before the pool forks, the parent imports `numpy.random`. Under numpy
+    2.x it is a lazy submodule that nothing before the fork touches, so
+    each worker would import it, 19 modules with `hashlib` and OpenSSL,
+    at its first unit; forked workers inherit the parent's instead. Under
+    numpy 1.x `import numpy` has already loaded it and the import is a
+    no-op. Under the spawn and forkserver start methods it does not help:
+    workers there import everything again. It is not a module-level
+    import, which would add its time to every CLI command's start-up.
     """
     n_workers = worker_count(workers)
     units = [
@@ -374,6 +383,8 @@ def run_scenario(
     if n_workers == 1 or len(units) == 1:
         rows = [_run_unit(u) for u in units]
     else:
+        import numpy.random  # noqa: F401  (once here, not once per worker)
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(n_workers, len(units))
         ) as pool:

@@ -4,8 +4,12 @@ emission."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import pathlib
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -461,6 +465,50 @@ def test_pool_unit_is_point_and_repetition(monkeypatch):
     assert mapped[1] == (3, [(0, 0), (1, 0), (1, 1)])
     run_scenario(small_cfg(runs=1), workers=4)
     assert len(mapped) == 2
+
+
+# Run in a fresh interpreter, since pytest has already loaded numpy.random:
+# every unit prints its worker's pid and the modules it added to
+# sys.modules, then the parent prints its own pid and the rows' errors.
+_UNIT_IMPORTS = """
+import json, os, sys
+from aggsim import harness
+
+run_unit = harness._run_unit
+
+def recording_unit(args):
+    before = set(sys.modules)
+    row = run_unit(args)
+    line = json.dumps([os.getpid(), sorted(set(sys.modules) - before)])
+    os.write(1, (line + "\\n").encode())  # one write: workers share the pipe
+    return row
+
+harness._run_unit = recording_unit
+cfg = harness.ScenarioConfig(
+    "SPU", "n1", (12,), (1, 2), (0.5,), runs=2, n_events=60, avg_degree=4.0
+)
+rows = harness.run_scenario(cfg, workers=2)
+print(json.dumps([os.getpid(), [r.error for r in rows]]))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two cores")
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the parent's modules",
+)
+def test_pool_workers_import_nothing_the_parent_lacks():
+    src = pathlib.Path(harness.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNIT_IMPORTS],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *units, (parent, errors) = map(json.loads, proc.stdout.splitlines())
+    assert errors == [None] * 4
+    assert all(pid != parent for pid, _ in units)
+    assert [added for _, added in units] == [[]] * 4
 
 
 def test_worker_count_env(monkeypatch):

@@ -18,6 +18,7 @@ from aggsim.model import (
     evaluate,
 )
 from aggsim.offline import offline_lb
+from aggsim.workload import BigEvents, ConstantArrivals, WorkloadSpec, gen_trace
 import oracles
 
 
@@ -315,3 +316,34 @@ def test_overflowing_sums_are_rejected():
         EventTrace(
             1e10 + np.arange(40.0), rng.uniform(0.5, 1.0, size=(40, 2)) * 1e298
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="offline_lb goes negative when t*w products near overflow "
+    "(ROADMAP item 2)",
+)
+def test_bound_stays_between_zero_and_a_singleton_schedule_near_overflow():
+    # 40 events at t = 1e10 + 0..39 on 2 systems: reporting each event on
+    # its own costs 40 * 0.5 = 20 with no latency; the value reads -1.41e285
+    t = 1e10 + np.arange(40.0)
+    w = np.linspace(0.5e290, 1e290, 80).reshape(40, 2)
+    assert 0.0 <= offline_lb(EventTrace(t, w), 1, 0.5, UnityCost()).value <= 20.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="offline_lb reads above the cost of its own K=1 witness "
+    "(ROADMAP item 2)",
+)
+def test_bound_is_at_most_its_k1_witness_on_a_sweep_trace():
+    # item 6's trace: the value reads 30.000000000029353, the witness 30.0
+    trace = gen_trace(
+        WorkloadSpec(ConstantArrivals(), BigEvents(), 60, 6, 1089654687),
+        ensure_k=1,
+    )
+    res = offline_lb(trace, 1, 0.5, UnityCost())
+    witness = oracles.k1_schedule(trace, res.choice, UnityCost())
+    assert res.value <= evaluate(witness, trace, 1, 0.5, UnityCost()).total
