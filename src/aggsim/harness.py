@@ -213,10 +213,12 @@ class ResultRow:
 
 
 def _alpha_for(code: str, n: int, n_events: int) -> float:
-    if code == "ADV2" or _COSTS[code[2]] is UnityCost:
+    if code == "ADV2":
         return 1.0
+    # the costliest one-system report over the cheapest, empty one
+    cost_fn = _COSTS[code[2]]()
     high = _MAGNITUDES[code[0]]().high(n)
-    return math.log(2.0 + high * n_events) / math.log(2.0)
+    return cost_fn.of_total(high * n_events) / cost_fn.of_total(0.0)
 
 
 def _seed_pair(cfg_seed: int, point_idx: int, rep: int) -> tuple[int, int]:

@@ -211,13 +211,12 @@ class _Engine:
     crossings, inline in `run`. Overhearing removes rows in place in the
     receiver loops of `_share_full` and `_propagate_net`, with the tables
     held in locals: no method call per removed row, and each removal
-    subtracts the row's weight and weight times time from the running sums
-    (zeroed when the set empties), in payload order. A fire then
-    recomputes, in `_fire`, the crossing of each system whose pending set
-    it shrank (`touched`) once, after the report has reached everyone who
-    hears it, instead of once per removed event. Only the full-scan
-    reference in `tests/oracles.py` removes rows through a method
-    (`_remove`).
+    subtracts the row's weight and weight times time from the running sums,
+    in payload order. A fire then recomputes, in `_fire`, the crossing of
+    each system whose pending set it shrank (`touched`, the sender's
+    included) once, after the report has reached everyone who hears it,
+    and there resets the sums of each set it emptied; nothing reads them
+    in between.
 
     With no graph, a report is heard by everyone and an event leaves every
     pending set once it has K reports (`_share_full`); with a graph,
@@ -302,32 +301,31 @@ class _Engine:
         pend, acc_w, acc_wt, cross = self.pend, self.acc_w, self.acc_wt, self.cross
         rows = list(pend[i])
         pend[i].clear()
-        acc_w[i] = 0.0
-        acc_wt[i] = 0.0
-        cross[i] = math.inf
+        touched = self.touched
+        touched.add(i)
         # tell the others about i's report and get the rows i forwards; a
         # stored bound method would keep the engine alive in a cycle
         if self.net:
             fwd = self._propagate_net(i, rows)
         else:
             fwd = self._share_full(i, rows)
-        # the crossing of each shrunk set: the earliest t' >= t at which
-        # sum w * (t' - t_e) over its pending events reaches theta times
-        # the cost of the report it would send (inf if nothing is pending)
-        touched = self.touched
-        if touched:
-            theta, of_total = self.policy.theta, self.of_total
-            for r in touched:
-                if pend[r]:
-                    aw = acc_w[r]
-                    num = theta if of_total is None else theta * of_total(aw)
-                    t_star = (num + acc_wt[r]) / aw
-                    if t_star < t:
-                        t_star = t
-                    cross[r] = t_star
-                else:
-                    cross[r] = math.inf
-            touched.clear()
+        # the crossing of each shrunk set, i's included: the earliest
+        # t' >= t at which sum w * (t' - t_e) over its pending events
+        # reaches theta times the cost of the report it would send; an
+        # emptied set has its sums reset and no crossing
+        theta, of_total = self.policy.theta, self.of_total
+        for r in touched:
+            if pend[r]:
+                aw = acc_w[r]
+                num = theta if of_total is None else theta * of_total(aw)
+                t_star = (num + acc_wt[r]) / aw
+                if t_star < t:
+                    t_star = t
+                cross[r] = t_star
+            else:
+                acc_w[r] = acc_wt[r] = 0.0
+                cross[r] = math.inf
+        touched.clear()
         self.fired_system.append(i)
         self.fired_time.append(t)
         self.orig_rows += rows
@@ -349,9 +347,6 @@ class _Engine:
                         w = pend_r.pop(row)
                         acc_w[r] -= w
                         acc_wt[r] -= w * t_row
-                        if not pend_r:
-                            acc_w[r] = 0.0
-                            acc_wt[r] = 0.0
                         touched.add(r)
         return ()
 
@@ -443,9 +438,6 @@ class _Engine:
                     w = pend_r.pop(row)
                     acc_w[r] -= w
                     acc_wt[r] -= w * times[row]
-                    if not pend_r:
-                        acc_w[r] = 0.0
-                        acc_wt[r] = 0.0
                     touched.add(r)
         wh_nbrs = self.wh_nbrs[i]
         for row, origins in payload.items():
@@ -464,9 +456,6 @@ class _Engine:
                 w = pend_r.pop(row)
                 acc_w[r] -= w
                 acc_wt[r] -= w * t_row
-                if not pend_r:
-                    acc_w[r] = 0.0
-                    acc_wt[r] = 0.0
                 touched.add(r)
         self.added = added
         if added >= self.sweep_at:
@@ -596,10 +585,10 @@ def _thb_block(t, w, last, theta, of_total, rounds):
     with a difference array.
     """
     size = t.size
+    nt = np.empty_like(t)
+    nt[:-1] = t[1:]
+    nt[last] = math.nan
     if rounds:
-        nt = np.empty_like(t)
-        nt[:-1] = t[1:]
-        nt[last] = math.nan
         wt = w * t
         fire = _crossings(theta, of_total, w, wt, t)
         still = fire >= nt
@@ -624,10 +613,7 @@ def _thb_block(t, w, last, theta, of_total, rounds):
         opens, sizes = [0], [0]
     if not rounds or at.size:
         # the scalar steps read Python floats, in one forward pass
-        ts, ws = t.tolist(), w.tolist()
-        nts = ts[1:] + [math.nan]
-        for e in last.tolist():
-            nts[e] = math.nan
+        ts, ws, nts = t.tolist(), w.tolist(), nt.tolist()
         known = length.tolist() if rounds else bytes(size)
         steps = zip(range(size), ts, ws, nts)
         pos = 0  # the observation `steps` yields next

@@ -66,6 +66,18 @@ def test_validation():
         CommGraph(2, frozenset(), roles=(Role.WITHHOLD,))
 
 
+def test_empty_graphs_are_rejected():
+    with pytest.raises(ValidationError) as exc:
+        CommGraph(0, frozenset())
+    assert str(exc.value) == "graph needs at least one node, got 0"
+    with pytest.raises(GraphFormatError) as exc:
+        CommGraph.from_text("")
+    assert str(exc.value) == "line 1: empty graph file"
+    with pytest.raises(ValidationError) as exc:
+        gen_udg(0, 0.0, 0)
+    assert str(exc.value) == "need n >= 1, got 0"
+
+
 def test_roles():
     g = path(3).with_roles([Role.WITHHOLD, Role.FORWARD, Role.WITHHOLD])
     assert g.forward_nodes() == (1,)

@@ -4,6 +4,7 @@ emission."""
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import pathlib
@@ -15,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from aggsim import harness
+from aggsim.graph import Role, gen_udg
 from aggsim.harness import (
     ConfigError,
     ResultRow,
@@ -127,6 +129,42 @@ def test_parse_config_errors():
             '{"scenario": "SPU", "mode": "none", "N": [2.5], "K": [1],'
             ' "rho": [0.5]}'
         )
+
+
+def test_parse_config_rejects_a_non_object_and_a_scalar_list_key():
+    with pytest.raises(ConfigError) as e:
+        parse_config("[1]")
+    assert str(e.value) == "config must be a JSON object"
+    with pytest.raises(ConfigError) as e:
+        parse_config(
+            '{"scenario": "SPU", "mode": "none", "N": 5, "K": [1], "rho": [0.5]}'
+        )
+    assert str(e.value) == "N must be a list"
+
+
+def test_alpha_is_the_costliest_report_over_the_empty_one():
+    # bit for bit the closed forms: 1 at unity cost and for the ADV2
+    # replay, log(2 + high * m) / log 2 at log cost, high = 1 for big and
+    # 1/N for small events
+    ns = [*range(1, 101), *(2**e for e in range(7, 37))]
+    ms = [1, 2, 3, 10, 50, 100, 1000, 2000, 8000, 10**6, 10**9]
+    for code in (a + b + c for a in "BS" for b in "CPH" for c in "UL"):
+        for n in ns:
+            high = 1.0 if code[0] == "B" else 1.0 / n
+            for m in ms:
+                want = 1.0
+                if code[2] == "L":
+                    want = math.log(2.0 + high * m) / math.log(2.0)
+                got = harness._alpha_for(code, n, m)
+                assert got.hex() == want.hex(), (code, n, m)
+    assert harness._alpha_for("ADV2", 16, 4) == 1.0
+
+
+def test_build_graph_without_roles_is_the_udg_with_every_node_withholding():
+    g = harness.build_graph(30, 6.0, 7, "none")
+    assert g == gen_udg(30, 6.0, 7)
+    assert g.roles == (Role.WITHHOLD,) * 30
+    assert harness.build_graph(30, 6.0, 7, "mis").edges == g.edges
 
 
 def test_perturb_pct_only_for_adv2_replay():

@@ -112,6 +112,28 @@ def test_trace_validation():
         make_trace([1.0], [[1.0], [2.0]])  # shape mismatch
 
 
+@pytest.mark.parametrize(
+    "times, ids, message",
+    [
+        ([[1.0]], None, "times must be one-dimensional"),
+        ([1.0, 2.0], [0], "event_ids length must match times"),
+        ([1.0], [2**63], "event ids must fit in 64 bits"),
+    ],
+)
+def test_trace_rejects_malformed_times_and_ids(times, ids, message):
+    with pytest.raises(ValidationError) as exc:
+        EventTrace(times, [[1.0]] * len(times), ids)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+def test_split_index_out_of_range(index):
+    tr = make_trace([1.0, 2.0, 4.0], [[1.0], [2.0], [3.0]])
+    with pytest.raises(ValidationError) as exc:
+        tr.split_at(index)
+    assert str(exc.value) == f"split index {index} out of range"
+
+
 def test_trace_is_immutable():
     tr = make_trace([1.0], [[1.0, 2.0]])
     with pytest.raises(ValueError):

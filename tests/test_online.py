@@ -1123,6 +1123,58 @@ def test_net_forward_tables_stay_bounded_by_live_rows():
         assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+class _ResetProbe(_Engine):
+    """`_Engine` that checks every system after each fire: an empty pending
+    set has no crossing and sums of exactly +0.0, any other a crossing at
+    or after the fire. It counts the sets fires empty besides the
+    sender's."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.emptied = 0
+
+    def _fire(self, i, t):
+        held = [r for r, pend_r in enumerate(self.pend) if pend_r and r != i]
+        super()._fire(i, t)
+        self.emptied += sum(not self.pend[r] for r in held)
+        for r, pend_r in enumerate(self.pend):
+            if pend_r:
+                assert self.cross[r] >= t, (i, t, r)
+                continue
+            assert self.cross[r] == math.inf, (i, t, r)
+            for total in (self.acc_w[r], self.acc_wt[r]):
+                assert math.copysign(1.0, total) == 1.0, (i, t, r)
+                assert total == 0.0, (i, t, r, total)
+
+
+@pytest.mark.parametrize("cost", ["unity", "log"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("roles", ["full", "mis", "cds"])
+def test_fires_reset_emptied_sets_and_leave_crossings_after_them(roles, k, cost):
+    # run_itc with roles "full", else run_net over MIS or CDS forwarders,
+    # on a dense and a sparse trace; the probe changes no schedule, and
+    # some fire empties a receiver's set
+    n = 12
+    cost_fn = UnityCost() if cost == "unity" else LogCost()
+    spec = WorkloadSpec(PoissonArrivals(), SmallEvents(), 200, n, 3)
+    traces = [
+        gen_trace(spec, ensure_k=k),
+        sparse_trace(np.random.default_rng(241), n, 200, k),
+    ]
+    graph = None if roles == "full" else build_graph(n, 4.0, 5, roles)
+    x = 1.0 if graph is None else compute_x(graph)
+    policy = ThresholdPolicy(default_theta(n, k, 1.0, 0.5, x))
+    emptied = 0
+    for tr in traces:
+        engine = _ResetProbe(tr, policy, k, cost_fn, graph)
+        if graph is None:
+            assert engine.run() == run_itc(tr, policy, k, cost_fn)
+        else:
+            assert engine.run() == run_net(tr, policy, k, cost_fn, graph)
+        emptied += engine.emptied
+    assert emptied, (roles, k)
+
+
 def _cascade_trace():
     """Three systems, with all-zero rows around a same-instant cascade.
 

@@ -98,6 +98,19 @@ def test_spec_validation():
     assert WeibullArrivals(shape=0.006).scale > 0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(shape=0), "shape must be positive"),
+        (dict(mean=0), "mean must be positive"),
+    ],
+)
+def test_weibull_rejects_a_nonpositive_parameter(kwargs, message):
+    with pytest.raises(ValidationError) as exc:
+        WeibullArrivals(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_k_feasibility_repair():
     rng = np.random.default_rng(5)
     w = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.1, 0.2, 0.3]])
@@ -167,6 +180,16 @@ def test_sigma2_instantiation():
         tr.check_k_feasible(2)
     assert gen_sigma2(1, 0.0).n_events == 1
     assert gen_sigma2(64, 0.0).n_events == 4
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((0,), "n_systems must be >= 1"), ((4, -1), "epsilon must be >= 0")],
+)
+def test_sigma2_rejects_bad_arguments(args, message):
+    with pytest.raises(ValidationError) as exc:
+        gen_sigma2(*args)
+    assert str(exc.value) == message
 
 
 def test_sigma2_oracle_at_most_one():
